@@ -42,6 +42,7 @@ from .metriclab import (
     euclidean_plane,
     geodesic_deviation,
     kronecker_space,
+    linear_sup_space,
     nonunique_geodesic_check,
     quotient_r4_space,
     r4_space,

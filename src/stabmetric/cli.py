@@ -61,26 +61,25 @@ def _parse_quotient(data, what: str) -> quotient.QuotPoint:
     return quotient.QuotPoint.from_vector(_parse_vec4(data, what))
 
 
-def _parse_point(model: str, text: str, what: str):
-    data = _parse_json(text, what)
-    if model in ("corbit", "euclidean", "poincare"):
-        return _parse_complex(data, what)
-    if model == "r4":
-        return _parse_vec4(data, what)
-    if model == "kronecker":
-        return _parse_kronecker(data, what)
-    if model == "quotient":
-        return _parse_quotient(data, what)
-    raise ValueError(f"unknown model {model!r}")
-
-
-_HANDLES = {
-    "euclidean": metriclab.euclidean_plane,
-    "corbit": metriclab.c_orbit_space,
-    "r4": metriclab.r4_space,
-    "quotient": metriclab.quotient_r4_space,
-    "kronecker": metriclab.kronecker_space,
+# Every model the commands accept: its point parser (JSON data -> point)
+# and, for the metric-space checks, its metriclab handle factory.
+MODELS = {
+    "euclidean": (_parse_complex, metriclab.euclidean_plane),
+    "corbit": (_parse_complex, metriclab.c_orbit_space),
+    "r4": (_parse_vec4, metriclab.r4_space),
+    "quotient": (_parse_quotient, metriclab.quotient_r4_space),
+    "kronecker": (_parse_kronecker, metriclab.kronecker_space),
+    "poincare": (_parse_complex, None),
 }
+SPACE_MODELS = tuple(m for m, (_, space) in MODELS.items() if space is not None)
+
+
+def _parse_point(model: str, text: str, what: str):
+    return MODELS[model][0](_parse_json(text, what), what)
+
+
+def _space(model: str) -> metriclab.SpaceHandle:
+    return MODELS[model][1]()
 
 
 def _emit(payload, args) -> None:
@@ -119,34 +118,23 @@ def _seed(args) -> int:
 def _cmd_dist(args) -> int:
     p = _parse_point(args.model, args.p, "first point")
     q = _parse_point(args.model, args.q, "second point")
-    if args.model == "corbit":
-        d = stabmodel.c_orbit_distance(p, q)
-        payload = {"model": args.model, "distance": d}
-    elif args.model == "r4":
-        d = quotient.dprime(p, q)
-        payload = {"model": args.model, "distance": d}
-    elif args.model == "poincare":
+    if args.model == "poincare":
         d = dynamics.poincare_distance(p, q)
-        payload = {"model": args.model, "distance": d}
-    elif args.model == "kronecker":
-        d = stabmodel.d_B_closed(p, q)
-        oracle = stabmodel.d_B_sampled(p, q, args.class_cap)
-        payload = {
-            "model": args.model,
-            "distance": d,
-            "oracle": {"sampled_supremum": oracle, "class_cap": args.class_cap,
-                       "deviation": abs(d - oracle)},
-        }
     else:
-        raise ValueError(f"model {args.model!r} has no plain distance")
+        d = _space(args.model).dist(p, q)
+    payload = {"model": args.model, "distance": d}
+    if args.model == "kronecker":
+        oracle = stabmodel.d_B_sampled(p, q, args.class_cap)
+        payload["oracle"] = {"sampled_supremum": oracle, "class_cap": args.class_cap,
+                             "deviation": abs(d - oracle)}
     _emit(payload, args)
     return 0
 
 
 def _cmd_quotient_dist(args) -> int:
+    x = _parse_point(args.model, args.p, "first point")
+    y = _parse_point(args.model, args.q, "second point")
     if args.model == "r4":
-        x = _parse_vec4(_parse_json(args.p, "first point"), "first point")
-        y = _parse_vec4(_parse_json(args.q, "second point"), "second point")
         closed = quotient.quot_dist_closed(
             quotient.QuotPoint.from_vector(x), quotient.QuotPoint.from_vector(y)
         )
@@ -154,8 +142,6 @@ def _cmd_quotient_dist(args) -> int:
                                          grid=args.grid, tol=args.tol)
         mini = quotient.quot_minimizer(x, y)
     elif args.model == "kronecker":
-        x = _parse_kronecker(_parse_json(args.p, "first point"), "first point")
-        y = _parse_kronecker(_parse_json(args.q, "second point"), "second point")
         closed = quotient.kron_quot_closed(x, y)
         numeric = quotient.quot_dist_inf(stabmodel.d_B_closed, x, y, stabmodel.c_act,
                                          grid=args.grid, tol=args.tol)
@@ -175,40 +161,30 @@ def _cmd_quotient_dist(args) -> int:
 
 
 def _cmd_hn(args) -> int:
-    point = _parse_kronecker(_parse_json(args.point, "point"), "point")
+    point = _parse_point("kronecker", args.point, "point")
     cls = stabmodel.ObjectClass.from_dict(_parse_json(args.object_class, "object class"))
     profile = stabmodel.hn_profile(point, cls)
     payload = {
         "point": point.to_dict(),
         "object_class": cls.to_dict(),
         "profile": profile.to_dict(),
-        "central_charge": list(_c2pair(stabmodel.central_charge(point, cls))),
+        "central_charge": metriclab.as_jsonable(stabmodel.central_charge(point, cls)),
         "support_constant": stabmodel.support_constant(point),
     }
     _emit(payload, args)
     return 0
 
 
-def _c2pair(z: complex):
-    return (z.real, z.imag)
-
-
 def _triangle(args):
     data = _parse_json(args.vertices, "vertices")
     if not isinstance(data, list) or len(data) != 3:
         raise ValueError("vertices must be a JSON list of three points")
-    parse = {
-        "euclidean": _parse_complex,
-        "corbit": _parse_complex,
-        "r4": _parse_vec4,
-        "kronecker": _parse_kronecker,
-        "quotient": _parse_quotient,
-    }[args.model]
+    parse = MODELS[args.model][0]
     return [parse(v, "vertex") for v in data]
 
 
 def _cmd_cat0(args) -> int:
-    space = _HANDLES[args.model]()
+    space = _space(args.model)
     x, y, z = _triangle(args)
     cert = metriclab.cat0_check(space, x, y, z, resolution=args.resolution,
                                 tol=args.tol, seed=_seed(args))
@@ -220,7 +196,7 @@ def _cmd_cat0(args) -> int:
 
 
 def _cmd_slim(args) -> int:
-    space = _HANDLES[args.model]()
+    space = _space(args.model)
     x, y, z = _triangle(args)
     cert = metriclab.slim_check(space, x, y, z, args.delta,
                                 resolution=args.resolution, seed=_seed(args))
@@ -232,7 +208,7 @@ def _cmd_slim(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
-    space = _HANDLES[args.model]()
+    space = _space(args.model)
     x = _parse_point(args.model, args.p, "first point")
     y = _parse_point(args.model, args.q, "second point")
     dev = metriclab.geodesic_deviation(space, x, y, resolution=args.resolution)
@@ -282,9 +258,7 @@ def _cmd_embed_check(args) -> int:
 def _cmd_fixtures(args) -> int:
     seed = _seed(args)
     results = []
-    for fid in fixtures.FIXTURES:
-        if args.filter and args.filter not in fid:
-            continue
+    for fid in fixtures.fixture_ids(args.filter):
         started = time.perf_counter()
         results.append(fixtures.build_fixture(fid, seed, args.resolution))
         if args.timings:
@@ -308,13 +282,8 @@ def _cmd_fixtures(args) -> int:
 def _cmd_sweep(args) -> int:
     seed = _seed(args)
     if args.kind == "mass-growth":
-        mat = Mat2.from_rows(_parse_json(args.matrix, "matrix"))
-        vectors = _parse_json(args.seed_vectors, "seed vectors")
-        values = dynamics.mass_growth_estimate(
-            mat, dynamics.MassSeed(tuple(tuple(v) for v in vectors)), args.n
-        )
-        _emit_csv(["n", "a_n"], [[i + 1, v] for i, v in enumerate(values)], args)
-        return 0
+        args.format = "csv"  # a sweep is always CSV
+        return _cmd_mass_growth(args)
     if args.kind == "slim-grid":
         space = metriclab.c_orbit_space()
         rows = []
@@ -379,20 +348,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hn)
 
     p = subs.add_parser("cat0-check", help="comparison-triangle test")
-    p.add_argument("--model", choices=tuple(_HANDLES), required=True)
+    p.add_argument("--model", choices=SPACE_MODELS, required=True)
     p.add_argument("--vertices", required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_cat0)
 
     p = subs.add_parser("slim-check", help="thin-triangle test")
-    p.add_argument("--model", choices=tuple(_HANDLES), required=True)
+    p.add_argument("--model", choices=SPACE_MODELS, required=True)
     p.add_argument("--vertices", required=True)
     p.add_argument("--delta", type=float, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_slim)
 
     p = subs.add_parser("geodesic-check", help="geodesic-equation deviation")
-    p.add_argument("--model", choices=tuple(_HANDLES), required=True)
+    p.add_argument("--model", choices=SPACE_MODELS, required=True)
     p.add_argument("p")
     p.add_argument("q")
     _add_common(p, resolution=256)

@@ -21,7 +21,7 @@ import numpy as np
 from . import dynamics, metriclab, quotient, stabmodel
 from .dynamics import Autoeq, MassSeed
 from .errors import MissingMatrix
-from .lin2 import CoveredMap, Mat2, compose
+from .lin2 import CoveredMap, Mat2, compose, golden_section_max
 from .metriclab import SpaceHandle
 
 GOLDEN_RATIO = 0.5 * (1.0 + math.sqrt(5.0))
@@ -431,35 +431,19 @@ def _entropy_chain(seed: int, resolution: int) -> FixtureResult:
 def _straight_lines(seed: int, resolution: int) -> FixtureResult:
     rng = np.random.default_rng([seed, 12])
     res = min(resolution, 128)
-    corbit = metriclab.c_orbit_space()
-    dev_corbit = max(
-        metriclab.geodesic_deviation(
-            corbit,
-            complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-            complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
-            resolution=res,
-        )
-        for _ in range(5)
+    samplers = (
+        (metriclab.c_orbit_space(),
+         lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))),
+        (metriclab.quotient_r4_space(),
+         lambda: quotient.QuotPoint.from_vector(rng.uniform(-2.0, 2.0, 4))),
+        (metriclab.kronecker_space(),
+         lambda: stabmodel.random_region_point(rng)),
     )
-    qspace = metriclab.quotient_r4_space()
-    dev_quot = max(
-        metriclab.geodesic_deviation(
-            qspace,
-            quotient.QuotPoint.from_vector(rng.uniform(-2.0, 2.0, 4)),
-            quotient.QuotPoint.from_vector(rng.uniform(-2.0, 2.0, 4)),
-            resolution=res,
-        )
-        for _ in range(5)
-    )
-    kspace = metriclab.kronecker_space()
-    dev_kron = max(
-        metriclab.geodesic_deviation(
-            kspace,
-            stabmodel.random_region_point(rng),
-            stabmodel.random_region_point(rng),
-            resolution=res,
-        )
-        for _ in range(5)
+    # five random pairs per space, drawn in order: orbit, quotient, strip
+    dev_corbit, dev_quot, dev_kron = (
+        max(metriclab.geodesic_deviation(space, sample(), sample(), resolution=res)
+            for _ in range(5))
+        for space, sample in samplers
     )
     arc = SpaceHandle(
         dist=lambda p, q: abs(p - q),
@@ -490,26 +474,9 @@ def _straight_lines(seed: int, resolution: int) -> FixtureResult:
 
 def _quarter_arc_oracle() -> float:
     """Max of chord(u) - u * chord(1) for the quarter arc, chord(u) being
-    the planar distance across a parameter gap u; golden-section search."""
-
-    def g(u: float) -> float:
-        return 2.0 * math.sin(0.25 * math.pi * u) - math.sqrt(2.0) * u
-
-    lo, hi = 0.0, 1.0
-    inv = 0.5 * (math.sqrt(5.0) - 1.0)
-    p = hi - inv * (hi - lo)
-    q = lo + inv * (hi - lo)
-    fp, fq = g(p), g(q)
-    while hi - lo > 1e-14:
-        if fp < fq:
-            lo, p, fp = p, q, fq
-            q = lo + inv * (hi - lo)
-            fq = g(q)
-        else:
-            hi, q, fq = q, p, fp
-            p = hi - inv * (hi - lo)
-            fp = g(p)
-    return max(fp, fq)
+    the planar distance across a parameter gap u."""
+    return golden_section_max(
+        lambda u: 2.0 * math.sin(0.25 * math.pi * u) - math.sqrt(2.0) * u, 0.0, 1.0, 1e-14)
 
 
 FIXTURES: dict[str, tuple[str, object]] = {
@@ -539,7 +506,11 @@ def build_fixture(fid: str, seed: int = 0, resolution: int = 512) -> FixtureResu
                              {"error": type(exc).__name__, "message": str(exc)})
 
 
+def fixture_ids(filter_str: str = "") -> list[str]:
+    """Registry ids containing the filter substring, in registry order."""
+    return [fid for fid in FIXTURES if filter_str in fid]
+
+
 def run_fixtures(filter_str: str = "", *, seed: int = 0, resolution: int = 512):
     """Run every fixture whose id contains the filter substring."""
-    return [build_fixture(fid, seed, resolution)
-            for fid in FIXTURES if not filter_str or filter_str in fid]
+    return [build_fixture(fid, seed, resolution) for fid in fixture_ids(filter_str)]

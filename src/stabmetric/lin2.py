@@ -191,21 +191,26 @@ def sup_displacement(g: CoveredMap, *, samples: int = 4096, refine_tol: float = 
         v = disp(phi)
         if v > best:
             best, best_phi = v, phi
-    lo, hi = best_phi - step, best_phi + step
+    return max(best, golden_section_max(disp, best_phi - step, best_phi + step, refine_tol))
+
+
+def golden_section_max(f, lo: float, hi: float, tol: float) -> float:
+    """Largest value of f found by golden-section search on [lo, hi],
+    shrinking the bracket to width tol; f must be unimodal there."""
     inv = 0.5 * (math.sqrt(5.0) - 1.0)
     p = hi - inv * (hi - lo)
     q = lo + inv * (hi - lo)
-    fp, fq = disp(p), disp(q)
-    while hi - lo > refine_tol:
+    fp, fq = f(p), f(q)
+    while hi - lo > tol:
         if fp < fq:
             lo, p, fp = p, q, fq
             q = lo + inv * (hi - lo)
-            fq = disp(q)
+            fq = f(q)
         else:
             hi, q, fq = q, p, fp
             p = hi - inv * (hi - lo)
-            fp = disp(p)
-    return max(best, fp, fq)
+            fp = f(p)
+    return max(fp, fq)
 
 
 def _with_lift_value(m: Mat2, value_at_zero: float) -> CoveredMap:

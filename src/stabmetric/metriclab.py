@@ -6,12 +6,25 @@ comparison triangles (CAT(0)), test Gromov slimness, and certify
 non-unique geodesics.  A certificate stores the witnesses, the margin,
 and the sampling parameters, so a second implementation can re-derive
 the margin from the same data.
+
+Every bundled space but the Euclidean plane is one linear sup-space:
+coordinates x in R^n, straight lines as geodesics, and the metric
+max_k w_k |L_k (x - y)| (``linear_sup_space``); ``dist`` stays each
+model's own closed form.
+
+    handle               rows L                     weights w
+    c-orbit              I_2 on (Re, Im)            (1, pi)
+    r4-sup               I_4                        1
+    kronecker            I_4 (strip checked)        1
+    r4-quotient          rows 3-4 of I_4            1/2
+    kronecker-quotient   [[1,0,-1,0],[0,1,0,-1]]    1/2
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,8 +85,6 @@ def as_jsonable(value):
         return [value.real, value.imag]
     if isinstance(value, (bool, int, float, str)) or value is None:
         return value
-    if isinstance(value, (QuotPoint, KroneckerPoint)):
-        return value.to_dict()
     if isinstance(value, np.ndarray):
         return [float(v) for v in value]
     if isinstance(value, np.floating):
@@ -325,7 +336,7 @@ def verify_certificate(space: SpaceHandle, cert: TriangleCertificate) -> float:
 
 # ---------------------------------------------------------------------------
 # Handles for the bundled models.  Points are complex numbers for planar
-# spaces, 4-vectors for the R^4 model, and the model's own types otherwise.
+# spaces, 4-tuples for the R^4 model, and the model's own types otherwise.
 
 def _lerp_complex(x: complex, y: complex):
     return lambda t: x + t * (y - x)
@@ -345,94 +356,80 @@ def euclidean_plane() -> SpaceHandle:
     )
 
 
-def c_orbit_space() -> SpaceHandle:
-    """Translation orbit of a stability condition, coordinates in C."""
+def linear_sup_space(name: str, dist: Callable, rows, weights, encode: Callable,
+                     decode: Callable, coords: Optional[Callable] = None) -> SpaceHandle:
+    """Handle for the metric max_k w_k |L_k (x - y)| on coordinates x in R^n,
+    whose straight lines are geodesics.
+
+    ``rows`` is the projection L (one row per k), ``weights`` the w_k (a
+    number applies to every row).  ``encode`` maps a point to its
+    coordinates and ``decode`` maps coordinates back to a point;
+    ``coords`` maps a list of points to an (N, n) array in one step and
+    defaults to encoding point by point.  ``dist`` is the model's own
+    closed form, which the matrix from ``pairwise`` reproduces.
+    """
+    proj = np.array(rows, dtype=float).T
+    w = np.broadcast_to(np.asarray(weights, dtype=float), len(rows))
+    if coords is None:
+        def coords(ps):
+            return np.array([encode(p) for p in ps], dtype=float)
+
+    def geodesic(x, y):
+        ends = tuple(zip(encode(x), encode(y)))
+
+        def path(t):
+            s = 1.0 - t
+            return decode([s * u + t * v for u, v in ends])
+
+        return path
 
     def pairwise(ps, qs):
-        a = np.array(ps, dtype=complex)
-        b = np.array(qs, dtype=complex)
-        dre = np.abs(a.real[:, None] - b.real[None, :])
-        dim = np.abs(a.imag[:, None] - b.imag[None, :])
-        return np.maximum(dre, math.pi * dim)
+        a = coords(ps) @ proj
+        b = a if qs is ps else coords(qs) @ proj
+        out = None
+        for k, wk in enumerate(w):
+            d = np.subtract.outer(a[:, k], b[:, k])
+            np.abs(d, out=d)
+            if wk != 1.0:
+                d *= wk
+            out = d if out is None else np.maximum(out, d, out=out)
+        return out
 
-    return SpaceHandle(
-        dist=c_orbit_distance,
-        geodesic=_lerp_complex,
-        name="c-orbit",
-        pairwise=pairwise,
-    )
+    return SpaceHandle(dist=dist, geodesic=geodesic, name=name, pairwise=pairwise)
 
 
-def _vec4_pairwise(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    out = np.zeros((xs.shape[0], ys.shape[0]))
-    for k in range(4):
-        np.maximum(out, np.abs(xs[:, k][:, None] - ys[:, k][None, :]), out=out)
-    return out
+_I4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def c_orbit_space() -> SpaceHandle:
+    """Translation orbit of a stability condition, coordinates (Re, Im)."""
+    return linear_sup_space(
+        "c-orbit", c_orbit_distance, ((1, 0), (0, 1)), (1.0, math.pi),
+        encode=lambda z: (z.real, z.imag), decode=lambda c: complex(*c),
+        coords=lambda ps: np.array(ps, dtype=complex).view(float).reshape(-1, 2))
 
 
 def r4_space() -> SpaceHandle:
-    def geodesic(x, y):
-        xa, ya = np.asarray(x, float), np.asarray(y, float)
-        return lambda t: tuple((1.0 - t) * xa + t * ya)
-
-    def pairwise(ps, qs):
-        return _vec4_pairwise(np.array(ps, float), np.array(qs, float))
-
-    return SpaceHandle(dist=dprime, geodesic=geodesic, name="r4-sup", pairwise=pairwise)
+    return linear_sup_space("r4-sup", dprime, _I4, 1.0, encode=tuple, decode=tuple)
 
 
 def quotient_r4_space() -> SpaceHandle:
     """R^4 orbits under the translation action; geodesics are quotients of
     straight lines between canonical representatives."""
-
-    def geodesic(xbar: QuotPoint, ybar: QuotPoint):
-        xa = np.asarray(xbar.rep, float)
-        ya = np.asarray(ybar.rep, float)
-        return lambda t: QuotPoint(tuple((1.0 - t) * xa + t * ya))
-
-    def pairwise(ps, qs):
-        a = np.array([p.rep for p in ps], float)
-        b = np.array([q.rep for q in qs], float)
-        d3 = np.abs(a[:, 2][:, None] - b[:, 2][None, :])
-        d4 = np.abs(a[:, 3][:, None] - b[:, 3][None, :])
-        return np.maximum(d3, d4) / 2.0
-
-    return SpaceHandle(dist=quot_dist_closed, geodesic=geodesic,
-                       name="r4-quotient", pairwise=pairwise)
+    return linear_sup_space("r4-quotient", quot_dist_closed, _I4[2:], 0.5,
+                            encode=attrgetter("rep"), decode=QuotPoint)
 
 
 def kronecker_space(l: int = 3) -> SpaceHandle:
     """Kronecker strip with the closed-form Bridgeland metric; straight
     coordinate lines are geodesics and stay inside the strip."""
-
-    def geodesic(p: KroneckerPoint, q: KroneckerPoint):
-        pa = np.asarray(p.x, float)
-        qa = np.asarray(q.x, float)
-        return lambda t: KroneckerPoint(tuple((1.0 - t) * pa + t * qa), l)
-
-    def pairwise(ps, qs):
-        return _vec4_pairwise(np.array([p.x for p in ps], float),
-                              np.array([q.x for q in qs], float))
-
-    return SpaceHandle(dist=d_B_closed, geodesic=geodesic,
-                       name="kronecker", pairwise=pairwise)
+    return linear_sup_space("kronecker", d_B_closed, _I4, 1.0, encode=attrgetter("x"),
+                            decode=lambda c: KroneckerPoint(c, l))
 
 
 def kronecker_quotient_space(l: int = 3) -> SpaceHandle:
     """Kronecker strip modulo the translation action, with orbits named by
     representative points; distances use the attained infimum."""
-
-    def geodesic(p: KroneckerPoint, q: KroneckerPoint):
-        pa = np.asarray(p.x, float)
-        qa = np.asarray(q.x, float)
-        return lambda t: KroneckerPoint(tuple((1.0 - t) * pa + t * qa), l)
-
-    def pairwise(ps, qs):
-        a = np.array([p.x for p in ps], float)
-        b = np.array([q.x for q in qs], float)
-        d13 = np.abs((a[:, 0] - a[:, 2])[:, None] - (b[:, 0] - b[:, 2])[None, :])
-        d24 = np.abs((a[:, 1] - a[:, 3])[:, None] - (b[:, 1] - b[:, 3])[None, :])
-        return np.maximum(d13, d24) / 2.0
-
-    return SpaceHandle(dist=kron_quot_closed, geodesic=geodesic,
-                       name="kronecker-quotient", pairwise=pairwise)
+    return linear_sup_space("kronecker-quotient", kron_quot_closed,
+                            ((1, 0, -1, 0), (0, 1, 0, -1)), 0.5,
+                            encode=attrgetter("x"), decode=lambda c: KroneckerPoint(c, l))

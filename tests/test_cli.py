@@ -256,3 +256,26 @@ class TestReadmeTable:
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
         documented = set(re.findall(r"^\| `([a-z0-9-]+)` \|", readme, flags=re.M))
         assert documented == set(FIXTURES)
+
+
+class TestFixtureTimings:
+    def test_one_stderr_line_per_selected_id(self, capsys):
+        argv = ("fixtures", "--filter", "corbit", "--resolution", "64")
+        _, plain_out, plain_err = run(capsys, *argv)
+        _, timed_out, timed_err = run(capsys, *argv, "--timings")
+        assert timed_out == plain_out
+        assert plain_err == ""
+        lines = timed_err.splitlines()
+        assert [line.split(": ")[0] for line in lines] == [f for f in FIXTURES if "corbit" in f]
+        assert all(re.fullmatch(r"[a-z0-9-]+: \d+\.\d ms", line) for line in lines)
+
+
+class TestRegionBoundary:
+    def test_cat0_vertex_outside_strip(self, capsys):
+        code, out, err = run(
+            capsys, "cat0-check", "--model", "kronecker", "--resolution", "16",
+            "--vertices", json.dumps([[0, 0, 0.5, 0], [1, 0, 1.5, 0], [0, 0, 1.5, 0]]),
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "OutsideRegion"

@@ -249,3 +249,41 @@ class TestCustomHandleFallback:
         )
         assert cat0_check(space, 0j, 1 + 0j, 0.5 + 0.5j, resolution=16) is None
         assert geodesic_deviation(space, 0j, 1 + 1j, resolution=16) <= 1e-12
+
+
+def _linear_handles():
+    """The five bundled linear sup-space handles with a seeded point sampler
+    and the tolerance of pairwise against the model's closed form."""
+    return [
+        (c_orbit_space(), lambda rng: complex(*rng.uniform(-3.0, 3.0, 2)), 0.0),
+        (r4_space(), lambda rng: tuple(rng.uniform(-3.0, 3.0, 4)), 0.0),
+        (quotient_r4_space(), lambda rng: QuotPoint.from_vector(rng.uniform(-3.0, 3.0, 4)), 0.0),
+        (kronecker_space(), random_region_point, 0.0),
+        # the closed form goes through c_act, so it is off by round-off
+        (kronecker_quotient_space(), random_region_point, 1e-12),
+    ]
+
+
+class TestLinearSupHandles:
+    @pytest.mark.parametrize("index", range(5))
+    def test_pairwise_matches_dist(self, index):
+        space, sample, tol = _linear_handles()[index]
+        rng = np.random.default_rng([index, 17])
+        ps = [sample(rng) for _ in range(23)]
+        qs = [sample(rng) for _ in range(19)]
+        for mat, rows, cols in ((space.pairwise(ps, qs), ps, qs),
+                                (space.pairwise(ps, ps), ps, ps)):
+            assert mat.shape == (len(rows), len(cols))
+            for i, p in enumerate(rows):
+                for j, q in enumerate(cols):
+                    assert abs(mat[i, j] - space.dist(p, q)) <= tol
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_geodesic_hits_both_ends(self, index):
+        space, sample, _ = _linear_handles()[index]
+        rng = np.random.default_rng([index, 18])
+        x, y = sample(rng), sample(rng)
+        path = space.geodesic(x, y)
+        assert path(0.0) == x
+        assert path(1.0) == y
+        assert type(path(0.5)) is type(x)
