@@ -29,8 +29,14 @@ def _fmt(value: float) -> str:
 
 
 def _parse_json(text: str, what: str):
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise ValueError(f"invalid JSON for {what}: non-finite number {token}")
+        return value
+
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON for {what}: {exc}") from exc
 
@@ -83,7 +89,7 @@ def _space(model: str) -> metriclab.SpaceHandle:
 
 
 def _emit(payload, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write(text, args)
 
 
@@ -306,12 +312,18 @@ def _cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, resolution=512) -> None:
-    sub.add_argument("--seed", type=int, default=None,
-                     help=f"RNG seed (falls back to ${ENV_SEED}, then 0)")
-    sub.add_argument("--tol", type=float, default=1e-9)
-    sub.add_argument("--resolution", type=int, default=resolution)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_common(sub, *flags: str, resolution: int = 512) -> None:
+    """Declare ``--out`` and those of the shared flags --seed, --tol,
+    --resolution and --format that the subcommand reads."""
+    if "seed" in flags:
+        sub.add_argument("--seed", type=int, default=None,
+                         help=f"RNG seed (falls back to ${ENV_SEED}, then 0)")
+    if "tol" in flags:
+        sub.add_argument("--tol", type=float, default=1e-9)
+    if "resolution" in flags:
+        sub.add_argument("--resolution", type=int, default=resolution)
+    if "format" in flags:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, help="write the report to this path")
 
 
@@ -338,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=33)
     p.add_argument("p")
     p.add_argument("q")
-    _add_common(p)
+    _add_common(p, "tol")
     p.set_defaults(func=_cmd_quotient_dist)
 
     p = subs.add_parser("hn", help="Harder-Narasimhan profile of a class")
@@ -350,21 +362,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("cat0-check", help="comparison-triangle test")
     p.add_argument("--model", choices=SPACE_MODELS, required=True)
     p.add_argument("--vertices", required=True)
-    _add_common(p)
+    _add_common(p, "seed", "tol", "resolution")
     p.set_defaults(func=_cmd_cat0)
 
     p = subs.add_parser("slim-check", help="thin-triangle test")
     p.add_argument("--model", choices=SPACE_MODELS, required=True)
     p.add_argument("--vertices", required=True)
     p.add_argument("--delta", type=float, required=True)
-    _add_common(p)
+    _add_common(p, "seed", "resolution")
     p.set_defaults(func=_cmd_slim)
 
     p = subs.add_parser("geodesic-check", help="geodesic-equation deviation")
     p.add_argument("--model", choices=SPACE_MODELS, required=True)
     p.add_argument("p")
     p.add_argument("q")
-    _add_common(p, resolution=256)
+    _add_common(p, "resolution", resolution=256)
     p.set_defaults(func=_cmd_geodesic)
 
     p = subs.add_parser("pa", help="pseudo-Anosov classification for curves")
@@ -377,19 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default="[[2,1],[1,1]]")
     p.add_argument("--seed-vectors", dest="seed_vectors", default="[[1,0]]")
     p.add_argument("-n", type=int, default=200)
-    _add_common(p)
+    _add_common(p, "format")
     p.set_defaults(func=_cmd_mass_growth)
 
     p = subs.add_parser("embed-check", help="embedding isometry report")
     p.add_argument("-n", type=int, default=100)
-    _add_common(p)
+    _add_common(p, "seed")
     p.set_defaults(func=_cmd_embed_check)
 
     p = subs.add_parser("fixtures", help="run the named verification fixtures")
     p.add_argument("--filter", default="")
     p.add_argument("--timings", action="store_true",
                    help="print per-fixture wall time to stderr")
-    _add_common(p)
+    _add_common(p, "seed", "resolution", "format")
     p.set_defaults(func=_cmd_fixtures)
 
     p = subs.add_parser("sweep", help="parameter sweeps as CSV")
@@ -399,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-vectors", dest="seed_vectors", default="[[1,0]]")
     p.add_argument("--deltas", default="1,2,4,8")
     p.add_argument("-n", type=int, default=200)
-    _add_common(p)
+    _add_common(p, "seed", "resolution")
     p.set_defaults(func=_cmd_sweep)
 
     return parser
@@ -410,7 +422,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StabmetricError, ValueError, KeyError, TypeError) as exc:
+    except (StabmetricError, ValueError, KeyError, TypeError, OverflowError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 2

@@ -39,15 +39,18 @@ class Autoeq:
 
     def __post_init__(self):
         for v in (self.a, self.b, self.c, self.d):
-            if not isinstance(v, int):
-                raise NotUnimodular("entries must be integers")
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise NotUnimodular(f"entries must be integers, got {v!r}")
         if self.a * self.d - self.b * self.c != 1:
             raise NotUnimodular("determinant must be exactly 1")
 
     @classmethod
     def from_rows(cls, rows) -> "Autoeq":
+        """Matrix from [[a, b], [c, d]]; integral floats such as 2.0 are
+        taken as integers, any other non-integer entry is rejected."""
         (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
+        return cls(*(int(v) if isinstance(v, float) and v.is_integer() else v
+                     for v in (a, b, c, d)))
 
     @property
     def trace(self) -> int:
@@ -177,6 +180,9 @@ def mass_growth_estimate(m: Mat2, seed: MassSeed, n: int) -> list[float]:
         for i, u in enumerate(units):
             w = m.apply(u)
             s = math.hypot(*w)
+            if s == 0.0:
+                raise ValueError(f"seed vector {list(seed.vectors[i])} collapses to zero "
+                                 f"at iterate {k}")
             logs[i] += math.log(s)
             units[i] = (w[0] / s, w[1] / s)
         out.append(_logsumexp(logs) / k)

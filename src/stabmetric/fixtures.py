@@ -14,7 +14,7 @@ README carries the id-to-claim table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,12 +101,11 @@ def _corbit_nonunique(seed: int, resolution: int) -> FixtureResult:
 
 
 def _ball_containment(space: SpaceHandle, center, segments, resolution: int) -> float:
-    worst = 0.0
-    for p0, p1 in segments:
-        geo = space.geodesic(p0, p1)
-        for i in range(resolution + 1):
-            worst = max(worst, space.dist(center, geo(i / resolution)))
-    return worst
+    """Largest distance from the center to a sampled point of the segments."""
+    ts = metriclab.sample_params(resolution)
+    c = space.coords(center)
+    return max(float(space.pairwise(c, space.path(*space.coords(p0, p1), ts)).max())
+               for p0, p1 in segments)
 
 
 def _corbit_slim(seed: int, resolution: int) -> FixtureResult:
@@ -445,12 +444,9 @@ def _straight_lines(seed: int, resolution: int) -> FixtureResult:
             for _ in range(5))
         for space, sample in samplers
     )
-    arc = SpaceHandle(
-        dist=lambda p, q: abs(p - q),
-        geodesic=lambda x, y: (lambda t: complex(math.cos(0.5 * math.pi * t),
-                                                 math.sin(0.5 * math.pi * t))),
-        name="euclidean-quarter-arc",
-    )
+    arc = replace(metriclab.euclidean_plane(), name="euclidean-quarter-arc",
+                  path=lambda a, b, ts: np.column_stack((np.cos(0.5 * math.pi * ts),
+                                                         np.sin(0.5 * math.pi * ts))))
     dev_arc = metriclab.geodesic_deviation(arc, 1.0 + 0j, 1j, resolution=256)
     oracle = _quarter_arc_oracle()
     passed = (

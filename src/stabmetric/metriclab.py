@@ -1,11 +1,15 @@
 """Generic metric-space property checkers with reproducible certificates.
 
-A space is handed over as a distance function plus a geodesic chooser;
-the checkers sample geodesic triangles, compare against Euclidean
-comparison triangles (CAT(0)), test Gromov slimness, and certify
-non-unique geodesics.  A certificate stores the witnesses, the margin,
-and the sampling parameters, so a second implementation can re-derive
-the margin from the same data.
+A space is handed over as a ``SpaceHandle`` on coordinate arrays.  The
+checkers encode their vertices once into rows of an (N, n) float array,
+sample each side with one ``path`` call, take every distance they
+sample from ``pairwise`` matrices scanned in row blocks (never held
+whole), and decode only the witnesses back into model points.  They
+compare sampled geodesic triangles against Euclidean comparison
+triangles (CAT(0)), test Gromov slimness, and certify non-unique
+geodesics.  A certificate stores the witnesses, the margin, and the
+sampling parameters, so a second implementation can re-derive the
+margin from the same data.
 
 Every bundled space but the Euclidean plane is one linear sup-space:
 coordinates x in R^n, straight lines as geodesics, and the metric
@@ -36,21 +40,38 @@ from .stabmodel import KroneckerPoint, c_orbit_distance, d_B_closed
 CAT0_VIOLATION = "cat0-violation"
 SLIM_VIOLATION = "slim-violation"
 NONUNIQUE_GEODESIC = "nonunique-geodesic"
+_SIDE_NAMES = ("xy", "yz", "zx")
+_BLOCK_CELLS = 1 << 16  # cells per scanned row block; 512 KiB of floats stays in cache
+
+
+def straight_path(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Rows (1 - t) a + t b, one per parameter t: the straight segment."""
+    return (1.0 - ts[:, None]) * a + ts[:, None] * b
 
 
 @dataclass(frozen=True)
 class SpaceHandle:
-    """A metric space presented by callables.
+    """A metric space presented on coordinate arrays.
 
-    ``geodesic(x, y)`` returns a path p(t) on [0, 1] with p(0) = x and
-    p(1) = y.  ``pairwise`` is an optional vectorized distance matrix for
-    lists of points; the checkers fall back to loops without it.
+    ``encode`` maps a point to its coordinates in R^n and ``decode`` maps
+    a list of coordinates back to a point; the checkers decode only
+    their witnesses.  ``pairwise(A, B)`` is the
+    matrix of distances between the rows of two coordinate arrays, and
+    ``path(a, b, ts)`` samples the geodesic from coordinates a to b at
+    the parameters ts in [0, 1], one row per parameter.  ``dist`` is the
+    model's own closed form on points, which ``pairwise`` reproduces.
     """
 
-    dist: Callable
-    geodesic: Callable
     name: str
-    pairwise: Optional[Callable] = None
+    dist: Callable
+    pairwise: Callable
+    encode: Callable
+    decode: Callable
+    path: Callable = straight_path
+
+    def coords(self, *points) -> np.ndarray:
+        """The (N, n) coordinate array of the given points."""
+        return np.array([self.encode(p) for p in points], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -121,16 +142,24 @@ def comparison_triangle(a: float, b: float, c: float):
     return (0.0, 0.0), (a, 0.0), (t, h)
 
 
-def _pairwise(space: SpaceHandle, ps, qs) -> np.ndarray:
-    if space.pairwise is not None:
-        return np.asarray(space.pairwise(ps, qs), dtype=float)
-    return np.array([[space.dist(p, q) for q in qs] for p in ps], dtype=float)
+def sample_params(resolution: int) -> np.ndarray:
+    """The parameters i / resolution, i = 0..resolution, at which the
+    checkers sample a side."""
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution!r}")
+    return np.arange(resolution + 1) / resolution
 
 
-def _sample_side(space: SpaceHandle, p0, p1, resolution: int):
-    geo = space.geodesic(p0, p1)
-    ts = [i / resolution for i in range(resolution + 1)]
-    return ts, [geo(t) for t in ts]
+def _row_blocks(n_rows: int, n_cols: int) -> list:
+    """Row slices that cut an (n_rows, n_cols) matrix into blocks of about
+    _BLOCK_CELLS cells, so a scan never holds the whole matrix."""
+    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
+    return [slice(r, r + step) for r in range(0, n_rows, step)]
+
+
+def _sides(vertices) -> list:
+    """The sides xy, yz, zx of a triangle as (start, end) pairs."""
+    return [(vertices[k], vertices[(k + 1) % 3]) for k in range(3)]
 
 
 def cat0_check(space: SpaceHandle, x, y, z, *, resolution: int = 512,
@@ -141,42 +170,42 @@ def cat0_check(space: SpaceHandle, x, y, z, *, resolution: int = 512,
     Comparison points are matched by arclength from the first-named
     vertex of each side.
     """
-    sides = ((x, y), (y, z), (z, x))
-    side_names = ("xy", "yz", "zx")
-    lengths = tuple(space.dist(p0, p1) for p0, p1 in sides)
-    cx, cy, cz = (complex(*p) for p in comparison_triangle(*lengths))
-    comp_ends = ((cx, cy), (cy, cz), (cz, cx))
+    ts = sample_params(resolution)
+    sides = _sides(space.coords(x, y, z))
+    lengths = tuple(space.dist(p0, p1) for p0, p1 in _sides((x, y, z)))
+    corners = [complex(*p) for p in comparison_triangle(*lengths)]
+    sampled = [space.path(a, b, ts) for a, b in sides]
+    comp = []
+    for (a, _), (e0, e1), length, pts in zip(sides, _sides(corners), lengths, sampled):
+        arc = space.pairwise(a[None], pts)[0]
+        s = arc / length if length > 0.0 else np.zeros_like(arc)
+        comp.append(e0 + s * (e1 - e0))
 
-    pts: list = []
-    comp: list[complex] = []
-    meta: list[tuple[str, float]] = []
-    for (p0, p1), (e0, e1), length, name in zip(sides, comp_ends, lengths, side_names):
-        ts, sampled = _sample_side(space, p0, p1, resolution)
-        for t, pt in zip(ts, sampled):
-            s = space.dist(p0, pt) / length if length > 0.0 else 0.0
-            pts.append(pt)
-            comp.append(e0 + s * (e1 - e0))
-            meta.append((name, t))
-
-    dmat = _pairwise(space, pts, pts)
-    carr = np.array(comp, dtype=complex)
-    emat = np.abs(carr[:, None] - carr[None, :])
-    viol = dmat - emat
-    i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
-    margin = float(viol[i, j])
+    pts = np.concatenate(sampled)
+    carr = np.concatenate(comp)
+    best = None  # (margin, i, j, space distance, comparison distance)
+    for rows in _row_blocks(len(pts), len(pts)):
+        dmat = space.pairwise(pts[rows], pts)
+        emat = np.abs(carr[rows, None] - carr[None, :])
+        viol = dmat - emat
+        i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        if best is None or viol[i, j] > best[0]:
+            best = (float(viol[i, j]), rows.start + i, j, float(dmat[i, j]), float(emat[i, j]))
+    margin, i, j, d_ij, e_ij = best
     if margin <= tol:
         return None
+    n = len(ts)
     witness = {
-        "p": pts[i],
-        "q": pts[j],
-        "p_side": meta[i][0],
-        "q_side": meta[j][0],
-        "p_t": meta[i][1],
-        "q_t": meta[j][1],
+        "p": space.decode(pts[i].tolist()),
+        "q": space.decode(pts[j].tolist()),
+        "p_side": _SIDE_NAMES[i // n],
+        "q_side": _SIDE_NAMES[j // n],
+        "p_t": float(ts[i % n]),
+        "q_t": float(ts[j % n]),
         "p_comparison": carr[i],
         "q_comparison": carr[j],
-        "space_distance": float(dmat[i, j]),
-        "comparison_distance": float(emat[i, j]),
+        "space_distance": d_ij,
+        "comparison_distance": e_ij,
     }
     return TriangleCertificate(
         kind=CAT0_VIOLATION,
@@ -190,26 +219,28 @@ def cat0_check(space: SpaceHandle, x, y, z, *, resolution: int = 512,
     )
 
 
-def _min_dist_to_side(space: SpaceHandle, point, p0, p1, resolution: int,
-                      refine_rounds: int = 1) -> float:
-    """Distance from a point to a sampled side, with local refinement
-    around the coarse argmin."""
-    ts, sampled = _sample_side(space, p0, p1, resolution)
-    row = _pairwise(space, [point], sampled)[0]
-    j = int(np.argmin(row))
-    best = float(row[j])
-    lo = ts[max(j - 1, 0)]
-    hi = ts[min(j + 1, resolution)]
-    geo = space.geodesic(p0, p1)
-    for _ in range(refine_rounds):
-        fine_ts = [lo + (hi - lo) * i / 200 for i in range(201)]
-        fine = [geo(t) for t in fine_ts]
-        row = _pairwise(space, [point], fine)[0]
+def _dist_to_side(space: SpaceHandle, point: np.ndarray, a: np.ndarray, b: np.ndarray,
+                  ts: np.ndarray, refine_rounds: int = 1) -> float:
+    """Distance from a point to the side a -> b sampled at ts, tightened by
+    200-step passes around each argmin; all arguments are coordinates."""
+    best = math.inf
+    grid = ts
+    for _ in range(refine_rounds + 1):
+        row = space.pairwise(point[None], space.path(a, b, grid))[0]
         j = int(np.argmin(row))
         best = min(best, float(row[j]))
-        lo = fine_ts[max(j - 1, 0)]
-        hi = fine_ts[min(j + 1, 200)]
+        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+        grid = lo + (hi - lo) * np.arange(201) / 200
     return best
+
+
+def _dist_to_other_sides(space: SpaceHandle, point: np.ndarray, vertices: np.ndarray,
+                         side: int, ts: np.ndarray) -> float:
+    """Distance from a point to the union of the two triangle sides other
+    than ``side`` (an index into _SIDE_NAMES)."""
+    sides = _sides(vertices)
+    return min(_dist_to_side(space, point, *sides[(side + 1) % 3], ts),
+               _dist_to_side(space, point, *sides[(side + 2) % 3], ts))
 
 
 def slim_check(space: SpaceHandle, x, y, z, delta: float, *, resolution: int = 512,
@@ -222,39 +253,34 @@ def slim_check(space: SpaceHandle, x, y, z, delta: float, *, resolution: int = 5
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    vertices = (x, y, z)
-    sides = ((x, y), (y, z), (z, x))
-    side_names = ("xy", "yz", "zx")
-    sampled = [_sample_side(space, p0, p1, resolution) for p0, p1 in sides]
+    ts = sample_params(resolution)
+    vertices = space.coords(x, y, z)
+    sampled = [space.path(a, b, ts) for a, b in _sides(vertices)]
 
     best = None  # (min_dist, side_idx, sample_idx)
     for idx in range(3):
-        _, own = sampled[idx]
-        others = sampled[(idx + 1) % 3][1] + sampled[(idx + 2) % 3][1]
-        mins = _pairwise(space, own, others).min(axis=1)
+        others = np.concatenate((sampled[(idx + 1) % 3], sampled[(idx + 2) % 3]))
+        mins = np.concatenate([space.pairwise(sampled[idx][rows], others).min(axis=1)
+                               for rows in _row_blocks(len(ts), len(others))])
         i = int(np.argmax(mins))
         if best is None or mins[i] > best[0]:
             best = (float(mins[i]), idx, i)
 
-    min_dist, idx, i = best
-    witness_point = sampled[idx][1][i]
-    refined = min(
-        _min_dist_to_side(space, witness_point, *sides[(idx + 1) % 3], resolution),
-        _min_dist_to_side(space, witness_point, *sides[(idx + 2) % 3], resolution),
-    )
+    _, idx, i = best
+    refined = _dist_to_other_sides(space, sampled[idx][i], vertices, idx, ts)
     margin = refined - delta
     if margin <= 0.0:
         return None
     witness = {
-        "point": witness_point,
-        "side": side_names[idx],
-        "t": sampled[idx][0][i],
+        "point": space.decode(sampled[idx][i].tolist()),
+        "side": _SIDE_NAMES[idx],
+        "t": float(ts[i]),
         "min_distance": refined,
     }
     return TriangleCertificate(
         kind=SLIM_VIOLATION,
         space=space.name,
-        vertices=vertices,
+        vertices=(x, y, z),
         witness=witness,
         margin=margin,
         resolution=resolution,
@@ -273,13 +299,14 @@ def nonunique_geodesic_check(space: SpaceHandle, x, z, y, *, resolution: int = 5
     geodesic distinct from [x, y], so the space is not uniquely geodesic
     (and in particular not CAT(0)).
     """
+    ts = sample_params(resolution)
     d_xz = space.dist(x, z)
     d_zy = space.dist(z, y)
     d_xy = space.dist(x, y)
     residual = abs(d_xz + d_zy - d_xy)
     if residual > additivity_tol:
         raise RejectNotAdditive(f"additivity residual {residual!r} exceeds {additivity_tol!r}")
-    clearance = _min_dist_to_side(space, z, x, y, resolution, refine_rounds=2)
+    clearance = _dist_to_side(space, *space.coords(z, x, y), ts, refine_rounds=2)
     if clearance <= clearance_tol:
         raise RejectOnGeodesic(f"midpoint clearance {clearance!r} is below {clearance_tol!r}")
     witness = {
@@ -304,12 +331,12 @@ def nonunique_geodesic_check(space: SpaceHandle, x, z, y, *, resolution: int = 5
 
 def geodesic_deviation(space: SpaceHandle, x, y, *, resolution: int = 256) -> float:
     """Max over sampled parameter pairs of |d(p(t), p(t')) - |t - t'| d(x, y)|."""
+    ts = sample_params(resolution)
     d_xy = space.dist(x, y)
-    ts, pts = _sample_side(space, x, y, resolution)
-    dmat = _pairwise(space, pts, pts)
-    tarr = np.array(ts)
-    expected = np.abs(tarr[:, None] - tarr[None, :]) * d_xy
-    return float(np.max(np.abs(dmat - expected)))
+    pts = space.path(*space.coords(x, y), ts)
+    return max(float(np.max(np.abs(space.pairwise(pts[rows], pts)
+                                   - np.abs(ts[rows, None] - ts[None, :]) * d_xy)))
+               for rows in _row_blocks(len(ts), len(ts)))
 
 
 def verify_certificate(space: SpaceHandle, cert: TriangleCertificate) -> float:
@@ -319,18 +346,14 @@ def verify_certificate(space: SpaceHandle, cert: TriangleCertificate) -> float:
         e = abs(cert.witness["p_comparison"] - cert.witness["q_comparison"])
         return d - e
     if cert.kind == SLIM_VIOLATION:
-        x, y, z = cert.vertices
-        sides = {"xy": ((y, z), (z, x)), "yz": ((z, x), (x, y)), "zx": ((x, y), (y, z))}
-        opp1, opp2 = sides[cert.witness["side"]]
-        point = cert.witness["point"]
-        refined = min(
-            _min_dist_to_side(space, point, *opp1, cert.resolution),
-            _min_dist_to_side(space, point, *opp2, cert.resolution),
-        )
+        refined = _dist_to_other_sides(
+            space, space.coords(cert.witness["point"])[0], space.coords(*cert.vertices),
+            _SIDE_NAMES.index(cert.witness["side"]), sample_params(cert.resolution))
         return refined - cert.params["delta"]
     if cert.kind == NONUNIQUE_GEODESIC:
         x, z, y = cert.vertices
-        return _min_dist_to_side(space, z, x, y, cert.resolution, refine_rounds=2)
+        return _dist_to_side(space, *space.coords(z, x, y), sample_params(cert.resolution),
+                             refine_rounds=2)
     raise ValueError(f"unknown certificate kind {cert.kind!r}")
 
 
@@ -338,54 +361,35 @@ def verify_certificate(space: SpaceHandle, cert: TriangleCertificate) -> float:
 # Handles for the bundled models.  Points are complex numbers for planar
 # spaces, 4-tuples for the R^4 model, and the model's own types otherwise.
 
-def _lerp_complex(x: complex, y: complex):
-    return lambda t: x + t * (y - x)
-
-
 def euclidean_plane() -> SpaceHandle:
-    def pairwise(ps, qs):
-        a = np.array(ps, dtype=complex)
-        b = np.array(qs, dtype=complex)
+    """The plane with points as complex numbers, coordinates (Re, Im)."""
+    def pairwise(A, B):
+        a, b = (np.ascontiguousarray(M, dtype=float).view(complex)[:, 0] for M in (A, B))
         return np.abs(a[:, None] - b[None, :])
 
-    return SpaceHandle(
-        dist=lambda p, q: abs(p - q),
-        geodesic=_lerp_complex,
-        name="euclidean-plane",
-        pairwise=pairwise,
-    )
+    return SpaceHandle(name="euclidean-plane", dist=lambda p, q: abs(p - q),
+                       pairwise=pairwise, encode=attrgetter("real", "imag"),
+                       decode=lambda c: complex(*c))
 
 
 def linear_sup_space(name: str, dist: Callable, rows, weights, encode: Callable,
-                     decode: Callable, coords: Optional[Callable] = None) -> SpaceHandle:
+                     decode: Callable) -> SpaceHandle:
     """Handle for the metric max_k w_k |L_k (x - y)| on coordinates x in R^n,
     whose straight lines are geodesics.
 
     ``rows`` is the projection L (one row per k), ``weights`` the w_k (a
     number applies to every row).  ``encode`` maps a point to its
-    coordinates and ``decode`` maps coordinates back to a point;
-    ``coords`` maps a list of points to an (N, n) array in one step and
-    defaults to encoding point by point.  ``dist`` is the model's own
-    closed form, which the matrix from ``pairwise`` reproduces.
+    coordinates and ``decode`` maps coordinates back to a point.
+    ``dist`` is the model's own closed form, which the matrix from
+    ``pairwise`` reproduces; the matrix is accumulated one row of L at a
+    time, so at most two (N, M) arrays are alive.
     """
     proj = np.array(rows, dtype=float).T
     w = np.broadcast_to(np.asarray(weights, dtype=float), len(rows))
-    if coords is None:
-        def coords(ps):
-            return np.array([encode(p) for p in ps], dtype=float)
 
-    def geodesic(x, y):
-        ends = tuple(zip(encode(x), encode(y)))
-
-        def path(t):
-            s = 1.0 - t
-            return decode([s * u + t * v for u, v in ends])
-
-        return path
-
-    def pairwise(ps, qs):
-        a = coords(ps) @ proj
-        b = a if qs is ps else coords(qs) @ proj
+    def pairwise(A, B):
+        a = A @ proj
+        b = a if B is A else B @ proj
         out = None
         for k, wk in enumerate(w):
             d = np.subtract.outer(a[:, k], b[:, k])
@@ -395,7 +399,7 @@ def linear_sup_space(name: str, dist: Callable, rows, weights, encode: Callable,
             out = d if out is None else np.maximum(out, d, out=out)
         return out
 
-    return SpaceHandle(dist=dist, geodesic=geodesic, name=name, pairwise=pairwise)
+    return SpaceHandle(name=name, dist=dist, pairwise=pairwise, encode=encode, decode=decode)
 
 
 _I4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -403,10 +407,8 @@ _I4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 def c_orbit_space() -> SpaceHandle:
     """Translation orbit of a stability condition, coordinates (Re, Im)."""
-    return linear_sup_space(
-        "c-orbit", c_orbit_distance, ((1, 0), (0, 1)), (1.0, math.pi),
-        encode=lambda z: (z.real, z.imag), decode=lambda c: complex(*c),
-        coords=lambda ps: np.array(ps, dtype=complex).view(float).reshape(-1, 2))
+    return linear_sup_space("c-orbit", c_orbit_distance, ((1, 0), (0, 1)), (1.0, math.pi),
+                            encode=attrgetter("real", "imag"), decode=lambda c: complex(*c))
 
 
 def r4_space() -> SpaceHandle:

@@ -279,3 +279,59 @@ class TestRegionBoundary:
         assert code == 2
         assert out == ""
         assert json.loads(err)["error"] == "OutsideRegion"
+
+
+class TestInputBoundary:
+    def error(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        return payload
+
+    @pytest.mark.parametrize("argv", [
+        ("cat0-check", "--model", "corbit", "--vertices", "[[0,0],[2,0],[1,0.3]]"),
+        ("slim-check", "--model", "corbit", "--delta", "1",
+         "--vertices", "[[0,0],[4,0],[0,1.3]]"),
+        ("geodesic-check", "--model", "corbit", "[0,0]", "[1,0.5]"),
+    ])
+    @pytest.mark.parametrize("resolution", ["0", "-1"])
+    def test_resolution_below_one(self, capsys, argv, resolution):
+        payload = self.error(capsys, *argv, "--resolution", resolution)
+        assert payload["error"] == "ValueError"
+        assert "resolution" in payload["message"]
+
+    @pytest.mark.parametrize("matrix", ["[[2.7,1],[1,1]]", "[[true,1],[0,true]]",
+                                        '[["2",1],[1,1]]'])
+    def test_pa_rejects_non_integer_entries(self, capsys, matrix):
+        assert self.error(capsys, "pa", "--matrix", matrix)["error"] == "NotUnimodular"
+
+    def test_pa_accepts_integral_floats(self, capsys):
+        code, out, _ = run(capsys, "pa", "--matrix", "[[2.0,1],[1,1.0]]")
+        assert code == 0
+        assert json.loads(out)["classification"]["trace"] == 3
+
+    @pytest.mark.parametrize("point", ["[NaN,0]", "[Infinity,0]", "[0,-Infinity]", "[1e999,0]"])
+    def test_non_finite_input_rejected(self, capsys, point):
+        payload = self.error(capsys, "dist", "--model", "corbit", point, "[1,0]")
+        assert "non-finite" in payload["message"]
+
+    def test_non_finite_report_rejected(self, capsys):
+        payload = self.error(capsys, "dist", "--model", "corbit", "[1e308,0]", "[-1e308,0]")
+        assert "not JSON compliant" in payload["message"]
+
+    def test_undeclared_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--model", "r4", "--format", "csv", "[0,0,0,0]", "[1,0,0,0]"])
+        assert exc.value.code == 2
+
+    def test_oracle_overflow(self, capsys):
+        payload = self.error(capsys, "dist", "--model", "kronecker",
+                             "[0,1e308,0.5,0]", "[0,0,0.5,0]")
+        assert payload["error"] == "OverflowError"
+
+    def test_collapsing_mass_seed_named(self, capsys):
+        payload = self.error(capsys, "mass-growth", "--matrix", "[[1,1],[1,1]]",
+                             "--seed-vectors", "[[1,-1]]")
+        assert "[1.0, -1.0]" in payload["message"]

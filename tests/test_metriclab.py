@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from stabmetric import metriclab
 from stabmetric.errors import (
     BadSideLengths,
     DegenerateBase,
@@ -13,7 +15,6 @@ from stabmetric.errors import (
     RejectOnGeodesic,
 )
 from stabmetric.metriclab import (
-    SpaceHandle,
     c_orbit_space,
     cat0_check,
     comparison_triangle,
@@ -28,7 +29,7 @@ from stabmetric.metriclab import (
     verify_certificate,
 )
 from stabmetric.quotient import QuotPoint, embed_q
-from stabmetric.stabmodel import random_region_point
+from stabmetric.stabmodel import KroneckerPoint, random_region_point
 
 
 class TestComparisonTriangle:
@@ -224,13 +225,10 @@ class TestGeodesicDeviation:
         assert geodesic_deviation(space, (0, 0, 0, 0), (1, 2, -1, 0.5), resolution=64) <= 1e-12
 
     def test_quarter_arc_deviates(self):
-        arc = SpaceHandle(
-            dist=lambda p, q: abs(p - q),
-            geodesic=lambda x, y: (
-                lambda t: complex(math.cos(0.5 * math.pi * t), math.sin(0.5 * math.pi * t))
-            ),
-            name="quarter-arc",
-        )
+        def quarter_arc(a, b, ts):
+            return np.column_stack((np.cos(0.5 * math.pi * ts), np.sin(0.5 * math.pi * ts)))
+
+        arc = replace(euclidean_plane(), name="quarter-arc", path=quarter_arc)
         deviation = geodesic_deviation(arc, 1 + 0j, 1j, resolution=256)
         # independent one-dimensional oracle: maximize the chord excess
         # 2 sin(pi u / 4) - sqrt(2) u over the parameter gap u
@@ -242,11 +240,7 @@ class TestGeodesicDeviation:
 
 class TestCustomHandleFallback:
     def test_loops_without_pairwise(self):
-        space = SpaceHandle(
-            dist=lambda p, q: abs(p - q),
-            geodesic=lambda x, y: (lambda t: x + t * (y - x)),
-            name="plain",
-        )
+        space = euclidean_plane()
         assert cat0_check(space, 0j, 1 + 0j, 0.5 + 0.5j, resolution=16) is None
         assert geodesic_deviation(space, 0j, 1 + 1j, resolution=16) <= 1e-12
 
@@ -271,8 +265,9 @@ class TestLinearSupHandles:
         rng = np.random.default_rng([index, 17])
         ps = [sample(rng) for _ in range(23)]
         qs = [sample(rng) for _ in range(19)]
-        for mat, rows, cols in ((space.pairwise(ps, qs), ps, qs),
-                                (space.pairwise(ps, ps), ps, ps)):
+        a, b = space.coords(*ps), space.coords(*qs)
+        for mat, rows, cols in ((space.pairwise(a, b), ps, qs),
+                                (space.pairwise(a, a), ps, ps)):
             assert mat.shape == (len(rows), len(cols))
             for i, p in enumerate(rows):
                 for j, q in enumerate(cols):
@@ -283,7 +278,67 @@ class TestLinearSupHandles:
         space, sample, _ = _linear_handles()[index]
         rng = np.random.default_rng([index, 18])
         x, y = sample(rng), sample(rng)
-        path = space.geodesic(x, y)
-        assert path(0.0) == x
-        assert path(1.0) == y
-        assert type(path(0.5)) is type(x)
+        start, middle, end = space.path(*space.coords(x, y), np.array([0.0, 0.5, 1.0]))
+        assert space.decode(start.tolist()) == x
+        assert space.decode(end.tolist()) == y
+        assert type(space.decode(middle.tolist())) is type(x)
+
+
+class TestCoordinateContract:
+    def test_model_points_do_not_scale_with_resolution(self, monkeypatch):
+        built = []
+        post_init = KroneckerPoint.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(KroneckerPoint, "__post_init__", counting)
+        x, y, z = (KroneckerPoint(v) for v in ((0.0, 0.0, 0.5, 0.0), (4.0, 0.0, 4.5, 0.0),
+                                               (0.0, 4.0, 0.5, 4.0)))
+        space = kronecker_space()
+        counts = []
+        for resolution in (64, 1024):
+            built.clear()
+            cert = slim_check(space, x, y, z, 1.0, resolution=resolution)
+            assert cert is not None
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("resolution", [0, -1])
+    def test_resolution_below_one_rejected(self, resolution):
+        space = c_orbit_space()
+        checks = (
+            lambda: cat0_check(space, 0j, 2 + 0j, 1j, resolution=resolution),
+            lambda: slim_check(space, 0j, 4 + 0j, 1j, 1.0, resolution=resolution),
+            lambda: geodesic_deviation(space, 0j, 1j, resolution=resolution),
+            lambda: nonunique_geodesic_check(space, 0j, 0.1 + 0.01j, 0.2 + 0j,
+                                             resolution=resolution),
+        )
+        for check in checks:
+            with pytest.raises(ValueError, match="resolution"):
+                check()
+
+
+class TestRowBlocks:
+    """The checkers scan distance matrices in row blocks; the block size
+    must not change any result, down to the witness and the last bit."""
+
+    @pytest.mark.parametrize("make_space, tri", [
+        (euclidean_plane, (0j, 1 + 0j, 0.3 + 0.7j)),
+        (kronecker_space, tuple(KroneckerPoint((a, b, a + 0.5, b))
+                                for a, b in ((0.0, 0.0), (2.0, 0.3), (1.0, 1.2)))),
+    ])
+    def test_block_size_does_not_change_results(self, monkeypatch, make_space, tri):
+        space = make_space()
+
+        def run():
+            return (cat0_check(space, *tri, resolution=40, tol=-1.0).to_dict(),
+                    slim_check(space, *tri, 0.01, resolution=40).to_dict(),
+                    geodesic_deviation(space, tri[0], tri[2], resolution=40))
+
+        whole = run()
+        monkeypatch.setattr(metriclab, "_BLOCK_CELLS", 7 * 123)  # 7 rows, uneven last block
+        assert run() == whole
+        monkeypatch.setattr(metriclab, "_BLOCK_CELLS", 1)  # one row per block
+        assert run() == whole
