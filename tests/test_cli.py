@@ -250,6 +250,36 @@ class TestFixturesCommand:
         assert by_id["corbit-distance-formula"]["details"]["error"] == "RuntimeError"
         assert by_id["corbit-slim-violation"]["passed"] is True
 
+    def test_failed_check_is_named(self, capsys, monkeypatch):
+        import stabmetric.fixtures as fx
+
+        def half(seed, resolution):
+            return {"value": 1.0}, {"a": True, "b": False}, []
+
+        monkeypatch.setitem(fx.FIXTURES, "corbit-distance-formula", ("claim", half))
+        code, out, _ = run(capsys, "fixtures", "--filter", "corbit-distance")
+        [result] = json.loads(out)["results"]
+        assert code == 1
+        assert result["passed"] is False
+        assert result["details"] == {"value": 1.0, "failed_checks": ["b"]}
+
+    def test_coarse_resolution_names_failed_checks(self, capsys):
+        code, out, _ = run(capsys, "fixtures", "--filter", "nonunique", "--resolution", "1")
+        by_id = {r["fixture_id"]: r for r in json.loads(out)["results"]}
+        assert code == 1
+        failed = by_id["quotient-nonunique-geodesic"]
+        assert failed["passed"] is False
+        assert failed["details"]["failed_checks"] == ["cat0 margin >= 0.04"]
+        assert by_id["corbit-nonunique-geodesic"]["passed"] is True
+        assert "failed_checks" not in by_id["corbit-nonunique-geodesic"]["details"]
+
+    def test_error_result_carries_the_claim(self):
+        import stabmetric.fixtures as fx
+
+        broken = fx.build_fixture("corbit-cat0-violation", 0, 0)
+        assert broken.details["error"] == "ValueError"
+        assert broken.claim == fx.build_fixture("corbit-cat0-violation", 0, 64).claim
+
 
 class TestReadmeTable:
     def test_fixture_ids_match_readme(self):
