@@ -48,7 +48,7 @@ class FixtureResult:
             "claim": self.claim,
             # numpy bools are not json-serializable, unlike numpy floats
             "passed": bool(self.passed),
-            "details": {k: metriclab.as_jsonable(v) for k, v in self.details.items()},
+            "details": metriclab.as_jsonable(self.details),
             "certificates": [c.to_dict() for c in self.certificates],
         }
 

@@ -101,7 +101,9 @@ class TriangleCertificate:
 
 
 def as_jsonable(value):
-    """Serialize points and numbers from any of the bundled models."""
+    """Serialize points and numbers from any of the bundled models, and
+    the lists, tuples and dicts that hold them, as JSON values; anything
+    else is a TypeError."""
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, (bool, int, float, str)) or value is None:
@@ -116,9 +118,11 @@ def as_jsonable(value):
         return bool(value)
     if isinstance(value, (list, tuple)):
         return [as_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: as_jsonable(v) for k, v in value.items()}
     if hasattr(value, "to_dict"):
-        return value.to_dict()
-    return repr(value)
+        return as_jsonable(value.to_dict())
+    raise TypeError(f"cannot serialize {type(value).__name__} as JSON")
 
 
 def comparison_triangle(a: float, b: float, c: float):

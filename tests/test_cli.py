@@ -273,6 +273,12 @@ class TestFixturesCommand:
         assert by_id["corbit-nonunique-geodesic"]["passed"] is True
         assert "failed_checks" not in by_id["corbit-nonunique-geodesic"]["details"]
 
+    def test_details_are_nested_json(self, capsys):
+        _, out, _ = run(capsys, "fixtures", "--filter", "corbit-slim")
+        [result] = json.loads(out)["results"]
+        witness = result["details"]["deltas"]["1.0"]["witness"]
+        assert witness == pytest.approx([2.0, 2.0 / math.pi], abs=1e-9)
+
     def test_error_result_carries_the_claim(self):
         import stabmetric.fixtures as fx
 

@@ -342,3 +342,13 @@ class TestRowBlocks:
         assert run() == whole
         monkeypatch.setattr(metriclab, "_BLOCK_CELLS", 1)  # one row per block
         assert run() == whole
+
+
+class TestAsJsonable:
+    def test_nested_containers_become_json(self):
+        value = {"a": [1 + 2j, {"b": np.float64(0.5)}], "c": (np.int64(3), np.bool_(True))}
+        assert metriclab.as_jsonable(value) == {"a": [[1.0, 2.0], {"b": 0.5}], "c": [3, True]}
+
+    def test_unknown_object_rejected(self):
+        with pytest.raises(TypeError):
+            metriclab.as_jsonable(object())
