@@ -144,13 +144,11 @@ def _cmd_quotient_dist(args) -> int:
         closed = quotient.quot_dist_closed(
             quotient.QuotPoint.from_vector(x), quotient.QuotPoint.from_vector(y)
         )
-        numeric = quotient.quot_dist_inf(quotient.dprime, x, y, quotient.r4_act,
-                                         grid=args.grid, tol=args.tol)
+        numeric = quotient.quot_dist_inf(quotient.dprime, x, y, quotient.r4_act)
         mini = quotient.quot_minimizer(x, y)
     elif args.model == "kronecker":
         closed = quotient.kron_quot_closed(x, y)
-        numeric = quotient.quot_dist_inf(stabmodel.d_B_closed, x, y, stabmodel.c_act,
-                                         grid=args.grid, tol=args.tol)
+        numeric = quotient.quot_dist_inf(stabmodel.d_B_closed, x, y, stabmodel.c_act)
         mini = None
     else:
         raise ValueError("quotient distances exist for models r4 and kronecker")
@@ -263,6 +261,7 @@ def _cmd_embed_check(args) -> int:
 
 def _cmd_fixtures(args) -> int:
     seed = _seed(args)
+    metriclab.sample_params(args.resolution)  # reject a bad resolution before any fixture runs
     results = []
     for fid in fixtures.fixture_ids(args.filter):
         started = time.perf_counter()
@@ -298,6 +297,9 @@ def _cmd_sweep(args) -> int:
                 space, 0j, complex(4.0 * delta, 0.0), complex(0.0, 4.0 * delta / math.pi),
                 delta, resolution=args.resolution, seed=seed,
             )
+            if cert is None:
+                raise ValueError(f"slim-grid: no violation for delta {delta!r} "
+                                 f"at resolution {args.resolution}")
             witness = cert.witness["point"]
             rows.append([delta, cert.margin, witness.real, witness.imag])
         _emit_csv(["delta", "margin", "witness_re", "witness_im"], rows, args)
@@ -347,10 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("quotient-dist", help="quotient distance: closed form vs solver")
     p.add_argument("--model", choices=("r4", "kronecker"), default="r4")
-    p.add_argument("--grid", type=int, default=33)
     p.add_argument("p")
     p.add_argument("q")
-    _add_common(p, "tol")
+    _add_common(p)
     p.set_defaults(func=_cmd_quotient_dist)
 
     p = subs.add_parser("hn", help="Harder-Narasimhan profile of a class")

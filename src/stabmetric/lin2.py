@@ -172,26 +172,32 @@ def lift_eval(g: CoveredMap, phi: float) -> float:
     return (th0 % 2.0) + delta + n + 2.0 * g.lift_index
 
 
-def sup_displacement(g: CoveredMap, *, samples: int = 4096, refine_tol: float = 1e-13) -> float:
+_DISP_SAMPLES = 4096
+_DISP_REFINE_TOL = 1e-13
+
+
+def sup_displacement(g: CoveredMap) -> float:
     """Sup over one period of |f(phi) - phi|.
 
-    Dense sampling on [0, 2) followed by golden-section refinement around
-    the best sample; f - id is piecewise smooth with few extrema per
-    period for linear maps, so the refined bracket is unimodal.
+    Dense sampling at _DISP_SAMPLES points of [0, 2) followed by
+    golden-section refinement around the best sample; f - id is
+    piecewise smooth with few extrema per period for linear maps, so the
+    refined bracket is unimodal.
     """
 
     def disp(phi: float) -> float:
         return abs(lift_eval(g, phi) - phi)
 
-    step = 2.0 / samples
+    step = 2.0 / _DISP_SAMPLES
     best_phi = 0.0
     best = disp(0.0)
-    for i in range(1, samples):
+    for i in range(1, _DISP_SAMPLES):
         phi = i * step
         v = disp(phi)
         if v > best:
             best, best_phi = v, phi
-    return max(best, golden_section_max(disp, best_phi - step, best_phi + step, refine_tol))
+    return max(best, golden_section_max(disp, best_phi - step, best_phi + step,
+                                        _DISP_REFINE_TOL))
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float) -> float:

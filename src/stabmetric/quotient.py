@@ -76,26 +76,27 @@ def quot_minimizer(x, y) -> complex:
 
 
 _DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+_GRID = 33  # coarse-grid points per axis
+_TOL = 1e-9  # how far the descent may end above the coarse-grid minimum
+_MAX_ITER = 200
+_STEP_FLOOR = 1e-13
 
 
-def quot_dist_inf(dist, sigma, tau, act, *, grid: int = 33, tol: float = 1e-9,
-                  max_iter: int = 200, step_floor: float = 1e-13) -> float:
+def quot_dist_inf(dist, sigma, tau, act) -> float:
     """Numerical infimum over the action parameter of dist(sigma, act(tau, lam)).
 
     The objective is assumed to be a maximum of finitely many absolute
-    affine functions of (Re lam, Im lam), hence convex: a coarse grid over
-    a box of half-width dist(sigma, tau) + 1 seeds an eight-direction
-    pattern search with halving steps, which cannot be trapped away from
-    the minimum of such objectives.
+    affine functions of (Re lam, Im lam), hence convex: a coarse
+    _GRID x _GRID grid over a box of half-width dist(sigma, tau) + 1
+    seeds an eight-direction pattern search with halving steps, which
+    cannot be trapped away from the minimum of such objectives.
     """
 
     def f(u: float, v: float) -> float:
         return dist(sigma, act(tau, complex(u, v)))
 
     box = dist(sigma, tau) + 1.0
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points per axis")
-    axis = [-box + 2.0 * box * i / (grid - 1) for i in range(grid)]
+    axis = [-box + 2.0 * box * i / (_GRID - 1) for i in range(_GRID)]
     best_u, best_v = 0.0, 0.0
     best = f(0.0, 0.0)
     for u in axis:
@@ -105,9 +106,9 @@ def quot_dist_inf(dist, sigma, tau, act, *, grid: int = 33, tol: float = 1e-9,
                 best, best_u, best_v = val, u, v
     grid_best = best
 
-    h = 2.0 * box / (grid - 1)
+    h = 2.0 * box / (_GRID - 1)
     iterations = 0
-    while h > step_floor and iterations < max_iter:
+    while h > _STEP_FLOOR and iterations < _MAX_ITER:
         iterations += 1
         moved = False
         for du, dv in _DIRECTIONS:
@@ -118,7 +119,7 @@ def quot_dist_inf(dist, sigma, tau, act, *, grid: int = 33, tol: float = 1e-9,
                 moved = True
         if not moved:
             h *= 0.5
-    if best > grid_best + tol:
+    if best > grid_best + _TOL:
         raise SolverDiverged("descent ended above the coarse-grid minimum")
     return best
 
@@ -160,7 +161,9 @@ class IsometryReport:
 
 
 def iter_isometry_samples(n: int, seed: int = 0):
-    """Yield per-pair deviations (metric, quotient) for random strip pairs."""
+    """Yield per-pair deviations (metric, quotient) for n random strip pairs."""
+    if n < 0:
+        raise ValueError(f"sample count must be nonnegative, got {n!r}")
     rng = np.random.default_rng(seed)
     for _ in range(n):
         x = random_region_vector(rng)

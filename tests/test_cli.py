@@ -331,6 +331,7 @@ class TestInputBoundary:
         ("slim-check", "--model", "corbit", "--delta", "1",
          "--vertices", "[[0,0],[4,0],[0,1.3]]"),
         ("geodesic-check", "--model", "corbit", "[0,0]", "[1,0.5]"),
+        ("fixtures",),
     ])
     @pytest.mark.parametrize("resolution", ["0", "-1"])
     def test_resolution_below_one(self, capsys, argv, resolution):
@@ -371,3 +372,23 @@ class TestInputBoundary:
         payload = self.error(capsys, "mass-growth", "--matrix", "[[1,1],[1,1]]",
                              "--seed-vectors", "[[1,-1]]")
         assert "[1.0, -1.0]" in payload["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("embed-check", "-n", "-5"),
+        ("sweep", "--kind", "isometry-samples", "-n", "-3"),
+    ])
+    def test_negative_sample_count(self, capsys, argv):
+        payload = self.error(capsys, *argv)
+        assert payload["error"] == "ValueError"
+        assert "sample count" in payload["message"]
+
+    def test_slim_grid_without_violation_named(self, capsys):
+        payload = self.error(capsys, "sweep", "--kind", "slim-grid", "--resolution", "1")
+        assert payload["error"] == "ValueError"
+        assert "delta 1.0" in payload["message"]
+        assert "resolution 1" in payload["message"]
+
+    def test_solver_grid_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["quotient-dist", "--grid", "5", "[0.2,0,0.4,0]", "[0.2,0,0.8,0]"])
+        assert exc.value.code == 2
