@@ -8,7 +8,6 @@ on the elliptic-curve model.
 
 from .dynamics import (
     Autoeq,
-    HPoint,
     MassSeed,
     PA_TABLE,
     curve_pa_summary,
@@ -62,7 +61,6 @@ from .quotient import (
     r4_act,
 )
 from .stabmodel import (
-    COrbitPoint,
     HNProfile,
     KroneckerPoint,
     ObjectClass,

@@ -18,10 +18,11 @@ import sys
 import time
 
 from . import dynamics, fixtures, metriclab, quotient, stabmodel
-from .errors import StabmetricError, UnknownKind
+from .errors import StabmetricError
 from .lin2 import Mat2
 
 ENV_SEED = "STABMETRIC_SEED"
+ORACLE_CLASS_CAP = 10  # multiplicity cap of the sampled-supremum oracle in `dist`
 
 
 def _fmt(value: float) -> str:
@@ -130,8 +131,8 @@ def _cmd_dist(args) -> int:
         d = _space(args.model).dist(p, q)
     payload = {"model": args.model, "distance": d}
     if args.model == "kronecker":
-        oracle = stabmodel.d_B_sampled(p, q, args.class_cap)
-        payload["oracle"] = {"sampled_supremum": oracle, "class_cap": args.class_cap,
+        oracle = stabmodel.d_B_sampled(p, q, ORACLE_CLASS_CAP)
+        payload["oracle"] = {"sampled_supremum": oracle, "class_cap": ORACLE_CLASS_CAP,
                              "deviation": abs(d - oracle)}
     _emit(payload, args)
     return 0
@@ -255,7 +256,7 @@ def _cmd_mass_growth(args) -> int:
 
 def _cmd_embed_check(args) -> int:
     report = quotient.isometry_report(args.n, seed=_seed(args))
-    _emit(report.to_dict(), args)
+    _emit(metriclab.as_jsonable(report), args)
     return 0
 
 
@@ -277,7 +278,7 @@ def _cmd_fixtures(args) -> int:
     else:
         payload = {
             "config": {"seed": seed, "resolution": args.resolution, "filter": args.filter},
-            "results": [r.to_dict() for r in results],
+            "results": metriclab.as_jsonable(results),
             "all_passed": all_passed,
         }
         _emit(payload, args)
@@ -286,9 +287,6 @@ def _cmd_fixtures(args) -> int:
 
 def _cmd_sweep(args) -> int:
     seed = _seed(args)
-    if args.kind == "mass-growth":
-        args.format = "csv"  # a sweep is always CSV
-        return _cmd_mass_growth(args)
     if args.kind == "slim-grid":
         space = metriclab.c_orbit_space()
         rows = []
@@ -304,12 +302,9 @@ def _cmd_sweep(args) -> int:
             rows.append([delta, cert.margin, witness.real, witness.imag])
         _emit_csv(["delta", "margin", "witness_re", "witness_im"], rows, args)
         return 0
-    if args.kind == "isometry-samples":
-        rows = [[i, dm, dq]
-                for i, (dm, dq) in enumerate(quotient.iter_isometry_samples(args.n, seed))]
-        _emit_csv(["index", "metric_deviation", "quotient_deviation"], rows, args)
-        return 0
-    raise UnknownKind(f"unknown sweep kind {args.kind!r}")
+    rows = [[i, dm, dq] for i, (dm, dq) in enumerate(quotient.iter_isometry_samples(args.n, seed))]
+    _emit_csv(["index", "metric_deviation", "quotient_deviation"], rows, args)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("dist", help="distance between two points of a model")
     p.add_argument("--model", choices=("corbit", "kronecker", "r4", "poincare"),
                    required=True)
-    p.add_argument("--class-cap", type=int, default=10,
-                   help="multiplicity cap for the sampled-supremum oracle")
     p.add_argument("p")
     p.add_argument("q")
     _add_common(p)
@@ -406,10 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fixtures)
 
     p = subs.add_parser("sweep", help="parameter sweeps as CSV")
-    p.add_argument("--kind", choices=("mass-growth", "slim-grid", "isometry-samples"),
-                   required=True)
-    p.add_argument("--matrix", default="[[2,1],[1,1]]")
-    p.add_argument("--seed-vectors", dest="seed_vectors", default="[[1,0]]")
+    p.add_argument("--kind", choices=("slim-grid", "isometry-samples"), required=True)
     p.add_argument("--deltas", default="1,2,4,8")
     p.add_argument("-n", type=int, default=200)
     _add_common(p, "seed", "resolution")

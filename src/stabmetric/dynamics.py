@@ -114,20 +114,6 @@ class MassSeed:
 
 
 @dataclass(frozen=True)
-class HPoint:
-    """Point of the upper half-plane."""
-
-    z: complex
-
-    def __post_init__(self):
-        if not self.z.imag > 0.0:
-            raise ValueError("imaginary part must be positive")
-
-    def to_dict(self) -> dict:
-        return {"z": [self.z.real, self.z.imag]}
-
-
-@dataclass(frozen=True)
 class PAClassification:
     pseudo_anosov: bool
     trace: int
@@ -189,12 +175,11 @@ def mass_growth_estimate(m: Mat2, seed: MassSeed, n: int) -> list[float]:
     return out
 
 
-def initial_mass_decay(values: list[float], steps: int = 10) -> bool:
+def initial_mass_decay(values: list[float]) -> bool:
     """True when the total mass k * a_k strictly decreases over the first
-    ``steps`` iterates; such seeds hug a contracting direction and their
+    10 iterates; such seeds hug a contracting direction and their
     estimates should not be read as the growth rate."""
-    total = [k * a for k, a in enumerate(values, start=1)]
-    head = total[: min(steps, len(total))]
+    head = [k * a for k, a in enumerate(values[:10], start=1)]
     return all(y < x for x, y in zip(head, head[1:]))
 
 
@@ -203,7 +188,7 @@ def _logsumexp(values) -> float:
     return hi + math.log(math.fsum(math.exp(v - hi) for v in values))
 
 
-def h_coordinate(m: Mat2) -> HPoint:
+def h_coordinate(m: Mat2) -> complex:
     """Upper half-plane coordinate of the stability condition obtained by
     acting with a cover element over m on the degree/rank base point.
 
@@ -222,12 +207,10 @@ def h_coordinate(m: Mat2) -> HPoint:
         z = 1.0 / z
     if not z.imag > 0.0:
         raise ArithmeticError("coordinate left the upper half-plane")
-    return HPoint(z)
+    return z
 
 
 def _as_upper(z) -> complex:
-    if isinstance(z, HPoint):
-        return z.z
     z = complex(z)
     if not z.imag > 0.0:
         raise ValueError("point must lie in the upper half-plane")
@@ -380,7 +363,7 @@ PA_TABLE: tuple[tuple[Autoeq, str], ...] = (
 )
 
 
-def random_unimodular_hyperbolic(rng, *, max_entry: Optional[int] = None) -> Autoeq:
+def random_unimodular_hyperbolic(rng) -> Autoeq:
     """Random hyperbolic element of SL(2, Z), built as a word in the two
     elementary shears (so the trace is at least 3), with a random sign."""
     lower = Autoeq(1, 0, 1, 1)
@@ -397,7 +380,5 @@ def random_unimodular_hyperbolic(rng, *, max_entry: Optional[int] = None) -> Aut
             continue
         if rng.random() < 0.5:
             m = Autoeq(-m.a, -m.b, -m.c, -m.d)
-        if max_entry is not None and max(abs(v) for v in (m.a, m.b, m.c, m.d)) > max_entry:
-            continue
         if abs(m.trace) > 2:
             return m

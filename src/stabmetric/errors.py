@@ -47,7 +47,3 @@ class RejectNotAdditive(StabmetricError):
 
 class MissingMatrix(StabmetricError):
     """Genus-one classification requires the induced integer matrix."""
-
-
-class UnknownKind(StabmetricError):
-    """Unrecognized sweep kind."""

@@ -42,16 +42,6 @@ class FixtureResult:
     details: dict
     certificates: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "fixture_id": self.fixture_id,
-            "claim": self.claim,
-            # numpy bools are not json-serializable, unlike numpy floats
-            "passed": bool(self.passed),
-            "details": metriclab.as_jsonable(self.details),
-            "certificates": [c.to_dict() for c in self.certificates],
-        }
-
 
 def _corbit_distance_formula(seed: int, resolution: int):
     rng = np.random.default_rng([seed, 1])
@@ -236,7 +226,7 @@ def _embedding_isometry(seed: int, resolution: int):
         "max_intertwining_deviation <= 1e-12": max_intertwine <= 1e-12,
         "anchor_distance = 0.4": abs(anchor - 0.4) <= 1e-12,
     }
-    details = {"report": report.to_dict(), "sampled_supremum_exact": sampled_exact,
+    details = {"report": report, "sampled_supremum_exact": sampled_exact,
                "max_intertwining_deviation": max_intertwine, "anchor_distance": anchor}
     return details, checks, []
 
@@ -487,8 +477,3 @@ def build_fixture(fid: str, seed: int = 0, resolution: int = 512) -> FixtureResu
 def fixture_ids(filter_str: str = "") -> list[str]:
     """Registry ids containing the filter substring, in registry order."""
     return [fid for fid in FIXTURES if filter_str in fid]
-
-
-def run_fixtures(filter_str: str = "", *, seed: int = 0, resolution: int = 512):
-    """Run every fixture whose id contains the filter substring."""
-    return [build_fixture(fid, seed, resolution) for fid in fixture_ids(filter_str)]

@@ -66,9 +66,6 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
-
     def scale(self, s: float) -> "Mat2":
         return Mat2(s * self.a, s * self.b, s * self.c, s * self.d)
 

@@ -27,7 +27,7 @@ model's own closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from operator import attrgetter
 from typing import Callable, Optional
 
@@ -42,6 +42,8 @@ SLIM_VIOLATION = "slim-violation"
 NONUNIQUE_GEODESIC = "nonunique-geodesic"
 _SIDE_NAMES = ("xy", "yz", "zx")
 _BLOCK_CELLS = 1 << 16  # cells per scanned row block; 512 KiB of floats stays in cache
+_ADDITIVITY_TOL = 1e-12  # non-unique geodesic: |d(x,z) + d(z,y) - d(x,y)| bound
+_CLEARANCE_TOL = 1e-9  # non-unique geodesic: least distance of z from [x, y]
 
 
 def straight_path(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -102,8 +104,9 @@ class TriangleCertificate:
 
 def as_jsonable(value):
     """Serialize points and numbers from any of the bundled models, and
-    the lists, tuples and dicts that hold them, as JSON values; anything
-    else is a TypeError."""
+    the lists, tuples and dicts that hold them, as JSON values.  A value
+    with a ``to_dict`` method is serialized through it, any other
+    dataclass instance field by field; anything else is a TypeError."""
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, (bool, int, float, str)) or value is None:
@@ -122,6 +125,8 @@ def as_jsonable(value):
         return {k: as_jsonable(v) for k, v in value.items()}
     if hasattr(value, "to_dict"):
         return as_jsonable(value.to_dict())
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: as_jsonable(getattr(value, f.name)) for f in fields(value)}
     raise TypeError(f"cannot serialize {type(value).__name__} as JSON")
 
 
@@ -294,25 +299,24 @@ def slim_check(space: SpaceHandle, x, y, z, delta: float, *, resolution: int = 5
 
 
 def nonunique_geodesic_check(space: SpaceHandle, x, z, y, *, resolution: int = 512,
-                             additivity_tol: float = 1e-12, clearance_tol: float = 1e-9,
                              seed: int = 0) -> TriangleCertificate:
     """Certify that x -> z -> y is a second geodesic from x to y.
 
-    Requires d(x,z) + d(z,y) = d(x,y) within additivity_tol and z strictly
-    off the handle's geodesic [x, y]; the concatenated path is then a
-    geodesic distinct from [x, y], so the space is not uniquely geodesic
-    (and in particular not CAT(0)).
+    Requires d(x,z) + d(z,y) = d(x,y) within _ADDITIVITY_TOL and z farther
+    than _CLEARANCE_TOL from the handle's geodesic [x, y]; the
+    concatenated path is then a geodesic distinct from [x, y], so the
+    space is not uniquely geodesic (and in particular not CAT(0)).
     """
     ts = sample_params(resolution)
     d_xz = space.dist(x, z)
     d_zy = space.dist(z, y)
     d_xy = space.dist(x, y)
     residual = abs(d_xz + d_zy - d_xy)
-    if residual > additivity_tol:
-        raise RejectNotAdditive(f"additivity residual {residual!r} exceeds {additivity_tol!r}")
+    if residual > _ADDITIVITY_TOL:
+        raise RejectNotAdditive(f"additivity residual {residual!r} exceeds {_ADDITIVITY_TOL!r}")
     clearance = _dist_to_side(space, *space.coords(z, x, y), ts, refine_rounds=2)
-    if clearance <= clearance_tol:
-        raise RejectOnGeodesic(f"midpoint clearance {clearance!r} is below {clearance_tol!r}")
+    if clearance <= _CLEARANCE_TOL:
+        raise RejectOnGeodesic(f"midpoint clearance {clearance!r} is below {_CLEARANCE_TOL!r}")
     witness = {
         "midpoint": z,
         "additivity_residual": residual,
@@ -329,7 +333,7 @@ def nonunique_geodesic_check(space: SpaceHandle, x, z, y, *, resolution: int = 5
         margin=clearance,
         resolution=resolution,
         seed=seed,
-        params={"additivity_tol": additivity_tol, "clearance_tol": clearance_tol},
+        params={"additivity_tol": _ADDITIVITY_TOL, "clearance_tol": _CLEARANCE_TOL},
     )
 
 
@@ -426,16 +430,16 @@ def quotient_r4_space() -> SpaceHandle:
                             encode=attrgetter("rep"), decode=QuotPoint)
 
 
-def kronecker_space(l: int = 3) -> SpaceHandle:
+def kronecker_space() -> SpaceHandle:
     """Kronecker strip with the closed-form Bridgeland metric; straight
     coordinate lines are geodesics and stay inside the strip."""
     return linear_sup_space("kronecker", d_B_closed, _I4, 1.0, encode=attrgetter("x"),
-                            decode=lambda c: KroneckerPoint(c, l))
+                            decode=KroneckerPoint)
 
 
-def kronecker_quotient_space(l: int = 3) -> SpaceHandle:
+def kronecker_quotient_space() -> SpaceHandle:
     """Kronecker strip modulo the translation action, with orbits named by
     representative points; distances use the attained infimum."""
     return linear_sup_space("kronecker-quotient", kron_quot_closed,
                             ((1, 0, -1, 0), (0, 1, 0, -1)), 0.5,
-                            encode=attrgetter("x"), decode=lambda c: KroneckerPoint(c, l))
+                            encode=attrgetter("x"), decode=KroneckerPoint)

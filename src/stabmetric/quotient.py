@@ -56,9 +56,6 @@ class QuotPoint:
         x1, x2, x3, x4 = (float(v) for v in x)
         return cls((0.0, 0.0, x3 - x1, x4 - x2))
 
-    def to_dict(self) -> dict:
-        return {"rep": list(self.rep)}
-
 
 def quot_dist_closed(xbar: QuotPoint, ybar: QuotPoint) -> float:
     """Closed-form quotient distance between orbits."""
@@ -124,7 +121,7 @@ def quot_dist_inf(dist, sigma, tau, act) -> float:
     return best
 
 
-def embed_q(x, l: int = 3) -> KroneckerPoint:
+def embed_q(x) -> KroneckerPoint:
     """Isometric embedding of the strip into the Kronecker model.
 
     The coordinate systems are aligned by construction; the R^4 action by
@@ -133,7 +130,7 @@ def embed_q(x, l: int = 3) -> KroneckerPoint:
     x = tuple(float(v) for v in x)
     if not 0.0 < x[2] - x[0] < 1.0:
         raise OutsideRegion(f"x3 - x1 = {x[2] - x[0]!r} is not in (0, 1)")
-    return KroneckerPoint(x, l)
+    return KroneckerPoint(x)
 
 
 def kron_quot_closed(p: KroneckerPoint, q: KroneckerPoint) -> float:
@@ -150,14 +147,6 @@ class IsometryReport:
     seed: int
     max_metric_deviation: float
     max_quotient_deviation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_metric_deviation": self.max_metric_deviation,
-            "max_quotient_deviation": self.max_quotient_deviation,
-        }
 
 
 def iter_isometry_samples(n: int, seed: int = 0):

@@ -118,16 +118,6 @@ class HNProfile:
         }
 
 
-@dataclass(frozen=True)
-class COrbitPoint:
-    """Point sigma.lambda on the translation orbit of a fixed base condition."""
-
-    lam: complex
-
-    def to_dict(self) -> dict:
-        return {"lam": [self.lam.real, self.lam.imag]}
-
-
 def _require_region(p: KroneckerPoint) -> None:
     if not p.in_region:
         gap = p.x[2] - p.x[0]
@@ -240,23 +230,17 @@ def support_constant(p: KroneckerPoint) -> float:
     return max(math.exp(-p.x[1]), math.exp(-p.x[3]))
 
 
-def _as_complex(lam) -> complex:
-    if isinstance(lam, COrbitPoint):
-        return lam.lam
-    return complex(lam)
-
-
 def c_orbit_distance(lam, lam2) -> float:
     """Induced metric on any translation orbit: max{|Re|, pi |Im|} of the
     parameter difference."""
-    z = _as_complex(lam) - _as_complex(lam2)
+    z = complex(lam) - complex(lam2)
     return max(abs(z.real), math.pi * abs(z.imag))
 
 
-def random_region_point(rng, l: int = 3) -> KroneckerPoint:
+def random_region_point(rng) -> KroneckerPoint:
     """Random point of the strip 0 < x3 - x1 < 1, spread along the orbit
     directions; used by sampling reports and tests."""
-    return KroneckerPoint(random_region_vector(rng), l)
+    return KroneckerPoint(random_region_vector(rng))
 
 
 def random_region_vector(rng) -> tuple[float, float, float, float]:

@@ -146,12 +146,16 @@ class TestMassGrowthAndSweeps:
         assert payload["initial_decay"] is False
 
     def test_sweep_mass_growth_csv(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--kind", "mass-growth", "-n", "200")
+        # the CSV series comes from mass-growth itself; sweep has no such kind
+        code, out, _ = run(capsys, "mass-growth", "--format", "csv", "-n", "200")
         lines = out.strip().splitlines()
         assert lines[0] == "n,a_n"
         assert len(lines) == 201
         last = float(lines[-1].split(",")[1])
         assert abs(last - math.log((3 + math.sqrt(5)) / 2)) <= 0.02
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--kind", "mass-growth"])
+        assert exc.value.code == 2
 
     def test_sweep_slim_grid(self, capsys):
         code, out, _ = run(capsys, "sweep", "--kind", "slim-grid",
