@@ -100,6 +100,9 @@ class MassSeed:
     vectors: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
+        for v in self.vectors:
+            if len(v) != 2:
+                raise ValueError(f"seed vectors must be pairs of numbers, got {list(v)!r}")
         vecs = tuple((float(v[0]), float(v[1])) for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
         if not vecs:

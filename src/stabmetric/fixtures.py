@@ -52,10 +52,20 @@ def _corbit_distance_formula(seed: int, resolution: int):
         max_err = max(max_err, abs(stabmodel.c_orbit_distance(0.0, lam) - expected))
     anchor_real = abs(stabmodel.c_orbit_distance(0.0, 1.0) - 1.0)
     anchor_imag = abs(stabmodel.c_orbit_distance(0.0, 1j) - math.pi)
+    # the definitional oracle: class supremum between a strip point and its translate
+    oracle_rng = np.random.default_rng([seed, 13])
+    oracle_err = 0.0
+    for _ in range(20):
+        p = stabmodel.random_region_point(oracle_rng)
+        lam = complex(oracle_rng.uniform(-2.0, 2.0), oracle_rng.uniform(-1.0, 1.0))
+        expected = max(abs(lam.real), math.pi * abs(lam.imag))
+        oracle = stabmodel.d_B_sampled(p, stabmodel.c_act(p, lam), 3)
+        oracle_err = max(oracle_err, abs(oracle - expected))
     details = {"samples": 1000, "max_error": max_err,
                "anchor_real_error": anchor_real, "anchor_imag_error": anchor_imag}
     checks = {f"{key} <= 1e-12": details[key] <= 1e-12
               for key in ("max_error", "anchor_real_error", "anchor_imag_error")}
+    checks["sampled supremum of translates <= 1e-12 off"] = oracle_err <= 1e-12
     return details, checks, []
 
 

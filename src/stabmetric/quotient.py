@@ -166,7 +166,10 @@ def iter_isometry_samples(n: int, seed: int = 0):
 
 
 def isometry_report(n: int, seed: int = 0) -> IsometryReport:
-    """Compare both metrics across the embedding on n random pairs."""
+    """Compare both metrics across the embedding on n >= 1 random pairs;
+    a maximum over no pairs would certify nothing."""
+    if n < 1:
+        raise ValueError(f"sample count must be at least 1, got {n!r}")
     dev_m = 0.0
     dev_q = 0.0
     for dm, dq in iter_isometry_samples(n, seed):

@@ -27,6 +27,16 @@ from dataclasses import dataclass
 from .errors import OutsideRegion
 
 
+def _integer(value, what: str) -> int:
+    """An integer field read from JSON: integral floats such as 2.0 are
+    taken as integers, bools and any other non-integer are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ObjectClass:
     """Class k1*[S1] + k2*[S2] with a homological shift."""
@@ -52,7 +62,7 @@ class ObjectClass:
     @classmethod
     def from_dict(cls, data: dict) -> "ObjectClass":
         k1, k2 = data["k"]
-        return cls(int(k1), int(k2), int(data.get("shift", 0)))
+        return cls(_integer(k1, "k"), _integer(k2, "k"), _integer(data.get("shift", 0), "shift"))
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ class KroneckerPoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KroneckerPoint":
-        return cls(tuple(data["x"]), int(data.get("l", 3)))
+        return cls(tuple(data["x"]), _integer(data.get("l", 3), "l"))
 
 
 @dataclass(frozen=True)

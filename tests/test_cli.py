@@ -283,6 +283,20 @@ class TestFixturesCommand:
         witness = result["details"]["deltas"]["1.0"]["witness"]
         assert witness == pytest.approx([2.0, 2.0 / math.pi], abs=1e-9)
 
+    def test_orbit_oracle_sees_a_phase_error(self):
+        import stabmetric.fixtures as fx
+        from stabmetric import stabmodel
+
+        act = stabmodel.c_act
+        # phases shifted by pi * Re(lambda) instead of Re(lambda)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stabmodel, "c_act",
+                       lambda p, lam: act(p, complex(math.pi * lam.real, lam.imag)))
+            result = fx.build_fixture("corbit-distance-formula", 0, 512)
+        assert result.passed is False
+        assert result.details["failed_checks"] == [
+            "sampled supremum of translates <= 1e-12 off"]
+
     def test_error_result_carries_the_claim(self):
         import stabmetric.fixtures as fx
 
@@ -293,9 +307,11 @@ class TestFixturesCommand:
 
 class TestReadmeTable:
     def test_fixture_ids_match_readme(self):
+        # each row is the registry's id and its claim verbatim, with "|" escaped
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-        documented = set(re.findall(r"^\| `([a-z0-9-]+)` \|", readme, flags=re.M))
-        assert documented == set(FIXTURES)
+        rows = re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \|$", readme, flags=re.M)
+        documented = [(fid, claim.replace("\\|", "|")) for fid, claim in rows]
+        assert documented == [(fid, claim) for fid, (claim, _) in FIXTURES.items()]
 
 
 class TestFixtureTimings:
@@ -391,6 +407,39 @@ class TestInputBoundary:
         assert payload["error"] == "ValueError"
         assert "delta 1.0" in payload["message"]
         assert "resolution 1" in payload["message"]
+
+    @pytest.mark.parametrize("point, object_class", [
+        ("[0.5,0,1,0]", '{"k":[2.7,1]}'),
+        ("[0.5,0,1,0]", '{"k":[2,1],"shift":0.5}'),
+        ("[0.5,0,1,0]", '{"k":[true,2]}'),
+        ('{"x":[0.5,0,1,0],"l":2.5}', '{"k":[1,2]}'),
+        ('{"x":[0.5,0,1,0],"l":true}', '{"k":[1,2]}'),
+    ])
+    def test_hn_rejects_non_integer_fields(self, capsys, point, object_class):
+        payload = self.error(capsys, "hn", "--point", point, "--object-class", object_class)
+        assert payload["error"] == "ValueError"
+        assert "must be an integer" in payload["message"]
+
+    def test_hn_accepts_integral_floats(self, capsys):
+        code, out, _ = run(capsys, "hn", "--point", '{"x":[0.5,0,1,0],"l":2.0}',
+                           "--object-class", '{"k":[2.0,3],"shift":-1.0}')
+        payload = json.loads(out)
+        assert code == 0
+        fields = [*payload["object_class"]["k"], payload["object_class"]["shift"],
+                  payload["point"]["l"]]
+        assert fields == [2, 3, -1, 2]
+        assert all(type(v) is int for v in fields)
+
+    @pytest.mark.parametrize("vectors", ["[[1]]", "[[1,0,5]]"])
+    def test_mass_seed_vectors_are_pairs(self, capsys, vectors):
+        payload = self.error(capsys, "mass-growth", "--seed-vectors", vectors)
+        assert payload["error"] == "ValueError"
+        assert "pairs" in payload["message"]
+
+    def test_zero_sample_embed_check_rejected(self, capsys):
+        payload = self.error(capsys, "embed-check", "-n", "0")
+        assert payload["error"] == "ValueError"
+        assert "sample count" in payload["message"]
 
     def test_solver_grid_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

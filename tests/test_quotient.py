@@ -171,9 +171,9 @@ class TestEmbedding:
 
 class TestIsometryReport:
     def test_empty_report(self):
-        rep = isometry_report(0, seed=0)
-        assert rep.max_metric_deviation == 0.0
-        assert rep.max_quotient_deviation == 0.0
+        # a maximum over zero pairs would read as a perfect isometry
+        with pytest.raises(ValueError, match="sample count"):
+            isometry_report(0, seed=0)
 
     def test_deviations_are_tiny(self):
         rep = isometry_report(100, seed=42)
