@@ -65,7 +65,7 @@ def _corbit_distance_formula(seed: int, resolution: int):
                "anchor_real_error": anchor_real, "anchor_imag_error": anchor_imag}
     checks = {f"{key} <= 1e-12": details[key] <= 1e-12
               for key in ("max_error", "anchor_real_error", "anchor_imag_error")}
-    checks["sampled supremum of translates <= 1e-12 off"] = oracle_err <= 1e-12
+    checks["d_B_sampled(p, p.lam, 3) = max{|Re lam|, pi |Im lam|}"] = oracle_err <= 1e-12
     return details, checks, []
 
 

@@ -295,7 +295,7 @@ class TestFixturesCommand:
             result = fx.build_fixture("corbit-distance-formula", 0, 512)
         assert result.passed is False
         assert result.details["failed_checks"] == [
-            "sampled supremum of translates <= 1e-12 off"]
+            "d_B_sampled(p, p.lam, 3) = max{|Re lam|, pi |Im lam|}"]
 
     def test_error_result_carries_the_claim(self):
         import stabmetric.fixtures as fx
@@ -396,6 +396,7 @@ class TestInputBoundary:
     @pytest.mark.parametrize("argv", [
         ("embed-check", "-n", "-5"),
         ("sweep", "--kind", "isometry-samples", "-n", "-3"),
+        ("embed-check", "-n", "0"),  # a maximum over no pairs certifies nothing
     ])
     def test_negative_sample_count(self, capsys, argv):
         payload = self.error(capsys, *argv)
@@ -435,11 +436,6 @@ class TestInputBoundary:
         payload = self.error(capsys, "mass-growth", "--seed-vectors", vectors)
         assert payload["error"] == "ValueError"
         assert "pairs" in payload["message"]
-
-    def test_zero_sample_embed_check_rejected(self, capsys):
-        payload = self.error(capsys, "embed-check", "-n", "0")
-        assert payload["error"] == "ValueError"
-        assert "sample count" in payload["message"]
 
     def test_solver_grid_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
