@@ -19,7 +19,7 @@ import time
 
 from . import dynamics, fixtures, metriclab, quotient, stabmodel
 from .errors import StabmetricError
-from .lin2 import Mat2
+from .lin2 import Mat2, real_number
 
 ENV_SEED = "STABMETRIC_SEED"
 ORACLE_CLASS_CAP = 10  # multiplicity cap of the sampled-supremum oracle in `dist`
@@ -43,16 +43,16 @@ def _parse_json(text: str, what: str):
 
 
 def _parse_complex(data, what: str) -> complex:
-    if isinstance(data, (int, float)):
-        return complex(data)
     if isinstance(data, list) and len(data) == 2:
-        return complex(float(data[0]), float(data[1]))
-    raise ValueError(f"{what} must be a number or a [re, im] pair")
+        return complex(real_number(data[0], what), real_number(data[1], what))
+    if isinstance(data, bool) or not isinstance(data, (int, float)):
+        raise ValueError(f"{what} must be a number or a [re, im] pair")
+    return complex(data)
 
 
 def _parse_vec4(data, what: str):
     if isinstance(data, list) and len(data) == 4:
-        return tuple(float(v) for v in data)
+        return tuple(real_number(v, what) for v in data)
     raise ValueError(f"{what} must be a list of four numbers")
 
 
@@ -64,7 +64,7 @@ def _parse_kronecker(data, what: str) -> stabmodel.KroneckerPoint:
 
 def _parse_quotient(data, what: str) -> quotient.QuotPoint:
     if isinstance(data, dict):
-        return quotient.QuotPoint(tuple(data["rep"]))
+        return quotient.QuotPoint(_parse_vec4(data["rep"], what))
     return quotient.QuotPoint.from_vector(_parse_vec4(data, what))
 
 
@@ -145,11 +145,11 @@ def _cmd_quotient_dist(args) -> int:
         closed = quotient.quot_dist_closed(
             quotient.QuotPoint.from_vector(x), quotient.QuotPoint.from_vector(y)
         )
-        numeric = quotient.quot_dist_inf(quotient.dprime, x, y, quotient.r4_act)
+        numeric = float(quotient.quot_dist_pairs([x], [y])[0])
         mini = quotient.quot_minimizer(x, y)
     elif args.model == "kronecker":
         closed = quotient.kron_quot_closed(x, y)
-        numeric = quotient.quot_dist_inf(stabmodel.d_B_closed, x, y, stabmodel.c_act)
+        numeric = float(quotient.quot_dist_pairs([x.x], [y.x], math.pi)[0])
         mini = None
     else:
         raise ValueError("quotient distances exist for models r4 and kronecker")

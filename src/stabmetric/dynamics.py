@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     MissingMatrix,
     NonPositiveDeterminant,
@@ -25,7 +27,14 @@ from .errors import (
     NotPseudoAnosov,
     NotUnimodular,
 )
-from .lin2 import CoveredMap, Mat2, _with_lift_value, operator_norm, sup_displacement
+from .lin2 import (
+    CoveredMap,
+    Mat2,
+    _with_lift_value,
+    operator_norm,
+    real_number,
+    sup_displacement,
+)
 
 
 @dataclass(frozen=True)
@@ -103,7 +112,8 @@ class MassSeed:
         for v in self.vectors:
             if len(v) != 2:
                 raise ValueError(f"seed vectors must be pairs of numbers, got {list(v)!r}")
-        vecs = tuple((float(v[0]), float(v[1])) for v in self.vectors)
+        vecs = tuple(tuple(real_number(x, "seed vector entry") for x in v)
+                     for v in self.vectors)
         object.__setattr__(self, "vectors", vecs)
         if not vecs:
             raise ValueError("seed needs at least one vector")
@@ -225,19 +235,36 @@ def poincare_distance(z, w) -> float:
     curvature -1 hyperbolic distance."""
     z = _as_upper(z)
     w = _as_upper(w)
-    t = 1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
-    return 0.5 * math.acosh(t)
+    return _half_plane_distance(abs(z - w), z.imag, w.imag, math.acosh)
+
+
+def _half_plane_distance(gap, y1, y2, acosh):
+    """poincare_distance from |z - w| and the imaginary parts, for floats
+    or arrays, with the matching acosh."""
+    return 0.5 * acosh(1.0 + gap ** 2 / (2.0 * y1 * y2))
 
 
 def mobius_apply(f: Autoeq, z: complex) -> complex:
     z = _as_upper(z)
-    # the imaginary part is det * Im(z) / |cz + d|^2 with det known exactly;
+    return complex(*_mobius_parts(f, z.real, z.imag))
+
+
+def _mobius_parts(f: Autoeq, x, y):
+    """Real and imaginary parts of f(x + iy), for floats or arrays x, y."""
+    # the imaginary part is det * y / |cz + d|^2 with det known exactly;
     # naive complex division cancels catastrophically for huge integer entries
     det = f.a * f.d - f.b * f.c
     a, b, c, d = float(f.a), float(f.b), float(f.c), float(f.d)
-    den = (c * z.real + d) ** 2 + (c * z.imag) ** 2
-    re = (a * z.real + b) * (c * z.real + d) + a * c * z.imag * z.imag
-    return complex(re / den, det * z.imag / den)
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    re = (a * x + b) * (c * x + d) + a * c * y * y
+    return re / den, det * y / den
+
+
+def displacement_grid(f: Autoeq, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """poincare_distance(z, mobius_apply(f, z)) at every z = x + iy of the
+    arrays x and y > 0, in one array evaluation of the same formulas."""
+    fx, fy = _mobius_parts(f, x, y)
+    return _half_plane_distance(np.hypot(x - fx, y - fy), y, fy, np.arccosh)
 
 
 def poincare_translation_length(f: Autoeq) -> float:

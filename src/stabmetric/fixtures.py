@@ -179,23 +179,32 @@ def _quotient_nonunique(seed: int, resolution: int):
     return details, checks, [c for c in (cert, cat, kcert) if c is not None]
 
 
-def _quotient_closed_form(seed: int, resolution: int):
+def _closed_form_pairs(seed: int):
+    """The 100 random R^4 pairs of quotient-closed-form, then one pair on
+    a common orbit."""
     rng = np.random.default_rng([seed, 6])
+    sigma, tau = [], []
+    for _ in range(100):
+        sigma.append(tuple(rng.uniform(-3.0, 3.0, 4)))
+        tau.append(tuple(rng.uniform(-3.0, 3.0, 4)))
+    x = tuple(rng.uniform(-3.0, 3.0, 4))
+    sigma.append(x)
+    tau.append(quotient.r4_act(x, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
+    return sigma, tau
+
+
+def _quotient_closed_form(seed: int, resolution: int):
+    sigma, tau = _closed_form_pairs(seed)
+    numeric = quotient.quot_dist_pairs(sigma, tau).tolist()
     max_solver_dev = 0.0
     max_minimizer_dev = 0.0
-    for _ in range(100):
-        x = tuple(rng.uniform(-3.0, 3.0, 4))
-        y = tuple(rng.uniform(-3.0, 3.0, 4))
+    for x, y, value in zip(sigma[:-1], tau[:-1], numeric):
         closed = quotient.quot_dist_closed(quotient.QuotPoint.from_vector(x),
                                            quotient.QuotPoint.from_vector(y))
-        numeric = quotient.quot_dist_inf(quotient.dprime, x, y, quotient.r4_act)
         attained = quotient.dprime(quotient.r4_act(x, quotient.quot_minimizer(x, y)), y)
-        max_solver_dev = max(max_solver_dev, abs(numeric - closed))
+        max_solver_dev = max(max_solver_dev, abs(value - closed))
         max_minimizer_dev = max(max_minimizer_dev, abs(attained - closed))
-    # same-orbit pairs collapse to distance zero
-    x = tuple(rng.uniform(-3.0, 3.0, 4))
-    y = quotient.r4_act(x, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-    same_orbit = quotient.quot_dist_inf(quotient.dprime, x, y, quotient.r4_act)
+    same_orbit = numeric[-1]  # same-orbit pairs collapse to distance zero
     checks = {
         "max_solver_deviation <= 1e-6": max_solver_dev <= 1e-6,
         "max_minimizer_deviation <= 1e-12": max_minimizer_dev <= 1e-12,
@@ -273,9 +282,8 @@ def _translation_crosscheck(seed: int, resolution: int):
     max_axis_dev = 0.0
     min_grid_margin = math.inf
     conjugation_ok = True
-    grid = [complex(px, py)
-            for px in np.linspace(-3.0, 3.0, 21)
-            for py in np.geomspace(0.05, 20.0, 21)]
+    grid_x, grid_y = np.meshgrid(np.linspace(-3.0, 3.0, 21), np.geomspace(0.05, 20.0, 21),
+                                 indexing="ij")
     for _ in range(100):
         mat = dynamics.random_unimodular_hyperbolic(rng)
         length = dynamics.translation_length(mat)
@@ -285,7 +293,7 @@ def _translation_crosscheck(seed: int, resolution: int):
         max_axis_dev = max(max_axis_dev,
                            abs(dynamics.poincare_distance(apex, dynamics.mobius_apply(mat, apex))
                                - length))
-        disp = min(dynamics.poincare_distance(z, dynamics.mobius_apply(mat, z)) for z in grid)
+        disp = float(dynamics.displacement_grid(mat, grid_x, grid_y).min())
         min_grid_margin = min(min_grid_margin, disp - (length - 1e-3))
         conj = dynamics.random_unimodular_hyperbolic(rng)
         conjugated = conj @ mat @ conj.inverse()

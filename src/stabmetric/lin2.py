@@ -11,9 +11,18 @@ f(0) in [0, 2).  That makes equality decidable and composition exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import NonPositiveDeterminant, NotHyperbolic
+
+
+def real_number(value, what: str) -> float:
+    """A real number read from JSON: ints and floats are taken, bools and
+    anything else are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,7 @@ class Mat2:
     @classmethod
     def from_rows(cls, rows) -> "Mat2":
         (a, b), (c, d) = rows
-        return cls(float(a), float(b), float(c), float(d))
+        return cls(*(real_number(v, "matrix entry") for v in (a, b, c, d)))
 
     @property
     def det(self) -> float:
@@ -169,32 +178,34 @@ def lift_eval(g: CoveredMap, phi: float) -> float:
     return (th0 % 2.0) + delta + n + 2.0 * g.lift_index
 
 
-_DISP_SAMPLES = 4096
-_DISP_REFINE_TOL = 1e-13
-
-
 def sup_displacement(g: CoveredMap) -> float:
-    """Sup over one period of |f(phi) - phi|.
+    """Sup over one period of |f(phi) - phi|, in closed form.
 
-    Dense sampling at _DISP_SAMPLES points of [0, 2) followed by
-    golden-section refinement around the best sample; f - id is
-    piecewise smooth with few extrema per period for linear maps, so the
-    refined bracket is unimodal.
+    The lift has slope det M / |M v(phi)|^2, v(phi) being the unit vector
+    at angle pi * phi, so f - id is extremal exactly where
+    |M v(phi)|^2 = det M.  With the Gram matrix M^T M = [[A, B], [B, C]],
+    |M v(phi)|^2 = (A + C)/2 + R cos(2 pi phi - alpha), where
+    R = hypot((A - C)/2, B) and alpha = atan2(B, (A - C)/2); the extrema
+    therefore solve cos(2 pi phi - alpha) = (det M - (A + C)/2) / R, the
+    ratio clamped to [-1, 1].  f - id is evaluated at phi = 0 and at the
+    at most four roots in [0, 2); phi = 0 alone covers R = 0, where M is
+    conformal and f - id is constant.
     """
-
-    def disp(phi: float) -> float:
-        return abs(lift_eval(g, phi) - phi)
-
-    step = 2.0 / _DISP_SAMPLES
-    best_phi = 0.0
-    best = disp(0.0)
-    for i in range(1, _DISP_SAMPLES):
-        phi = i * step
-        v = disp(phi)
-        if v > best:
-            best, best_phi = v, phi
-    return max(best, golden_section_max(disp, best_phi - step, best_phi + step,
-                                        _DISP_REFINE_TOL))
+    m = g.matrix
+    gram_a = m.a * m.a + m.c * m.c
+    gram_b = m.a * m.b + m.c * m.d
+    gram_c = m.b * m.b + m.d * m.d
+    half_gap = 0.5 * (gram_a - gram_c)
+    radius = math.hypot(half_gap, gram_b)
+    phases = [0.0]
+    if radius > 0.0:
+        alpha = math.atan2(gram_b, half_gap)
+        ratio = (m.det - 0.5 * (gram_a + gram_c)) / radius
+        beta = math.acos(min(1.0, max(-1.0, ratio)))
+        for angle in (alpha + beta, alpha - beta):
+            phi = (angle / (2.0 * math.pi)) % 1.0
+            phases += [phi, phi + 1.0]
+    return max(abs(lift_eval(g, phi) - phi) for phi in phases)
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float) -> float:

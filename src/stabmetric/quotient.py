@@ -73,52 +73,135 @@ def quot_minimizer(x, y) -> complex:
 
 
 _DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+_DU = np.array([du for du, _ in _DIRECTIONS], dtype=float)
+_DV = np.array([dv for _, dv in _DIRECTIONS], dtype=float)
 _GRID = 33  # coarse-grid points per axis
 _TOL = 1e-9  # how far the descent may end above the coarse-grid minimum
 _MAX_ITER = 200
 _STEP_FLOOR = 1e-13
+_BLOCK_CELLS = 1 << 16  # grid cells evaluated per array op
 
 
+def _pattern_search(objective, box: np.ndarray) -> np.ndarray:
+    """Minimize P convex objectives of (u, v) = (Re lam, Im lam) at once.
+
+    ``objective(rows, u, v)`` returns, for the problems ``rows``, the
+    values at the parameters in the ``(len(rows), m)`` arrays u, v.  Each
+    objective is assumed to be a maximum of finitely many absolute affine
+    functions, hence convex: a coarse _GRID x _GRID grid over the box of
+    half-width ``box[p]`` seeds an eight-direction pattern search with
+    halving steps, which cannot be trapped away from the minimum of such
+    objectives.  The grid is evaluated in blocks of about _BLOCK_CELLS
+    cells.  Each descent step evaluates all eight directions of every
+    unfinished problem; a per-problem pointer keeps the rule of a sweep
+    through _DIRECTIONS in order, which moves at each improvement and goes
+    on from the new point, so the values are those of one problem at a
+    time.
+    """
+    n = box.shape[0]
+    best = objective(np.arange(n), np.zeros((n, 1)), np.zeros((n, 1)))[:, 0]
+    best_u = np.zeros(n)
+    best_v = np.zeros(n)
+    ticks = np.arange(_GRID, dtype=float)
+    per_block = max(1, _BLOCK_CELLS // (_GRID * _GRID))
+    for lo in range(0, n, per_block):
+        rows = np.arange(lo, min(lo + per_block, n))
+        axis = -box[rows, None] + 2.0 * box[rows, None] * ticks / (_GRID - 1)
+        u = np.repeat(axis, _GRID, axis=1)  # cell i * _GRID + j is (axis[i], axis[j])
+        v = np.tile(axis, _GRID)
+        vals = objective(rows, u, v)
+        pos = np.arange(rows.size)
+        cell = vals.argmin(axis=1)  # first minimum in scan order
+        low = vals[pos, cell]
+        better = low < best[rows]
+        best_u[rows] = np.where(better, axis[pos, cell // _GRID], 0.0)
+        best_v[rows] = np.where(better, axis[pos, cell % _GRID], 0.0)
+        best[rows] = np.where(better, low, best[rows])
+    grid_best = best.copy()
+
+    # the descent state of the unfinished problems `live`: the current
+    # point (u0, v0) and its value val0, the step h, and the sweep counters
+    live = pos = np.arange(n)
+    u0, v0, val0 = best_u, best_v, best.copy()
+    h = 2.0 * box / (_GRID - 1)
+    iterations = np.zeros(n, dtype=int)
+    pointer = np.zeros(n, dtype=int)  # next direction of the current sweep
+    moved = np.zeros(n, dtype=bool)
+    sweep = len(_DIRECTIONS)
+    order = np.arange(sweep)
+    while True:
+        opening = pointer == 0
+        ended = opening & ~((h > _STEP_FLOOR) & (iterations < _MAX_ITER))
+        if ended.any():
+            best[live[ended]] = val0[ended]
+            keep = ~ended
+            live, u0, v0, val0, h, iterations, pointer, moved, opening = (
+                a[keep] for a in (live, u0, v0, val0, h, iterations, pointer, moved, opening))
+            pos = np.arange(live.size)
+        if not live.size:
+            break
+        iterations += opening
+        moved &= ~opening
+        u = u0[:, None] + h[:, None] * _DU
+        v = v0[:, None] + h[:, None] * _DV
+        vals = objective(live, u, v)
+        improving = (vals < val0[:, None]) & (order >= pointer[:, None])
+        k = improving.argmax(axis=1)  # first improving direction, if any
+        hit = improving[pos, k]
+        u0 = np.where(hit, u[pos, k], u0)
+        v0 = np.where(hit, v[pos, k], v0)
+        val0 = np.where(hit, vals[pos, k], val0)
+        moved |= hit
+        pointer = np.where(hit, k + 1, sweep)
+        swept = pointer == sweep
+        h = np.where(swept & ~moved, 0.5 * h, h)
+        pointer[swept] = 0
+    if np.any(best > grid_best + _TOL):
+        raise SolverDiverged("descent ended above the coarse-grid minimum")
+    return best
+
+
+# Overflow follows IEEE arithmetic, silently, as in the scalar loop the
+# solver replaced; a non-finite distance is rejected where it is reported.
+@np.errstate(over="ignore", invalid="ignore")
+def quot_dist_pairs(sigma, tau, im_scale: float = 1.0) -> np.ndarray:
+    """Numerical quotient distances of P pairs of R^4 coordinate rows.
+
+    Row p is the infimum over lam of max_k |sigma_k - (tau_k + (S lam)_k)|
+    with S lam = (Re, s Im, Re, s Im), s = ``im_scale``: s = 1 is
+    ``dprime`` after ``r4_act``, s = pi is ``d_B_closed`` after
+    ``stabmodel.c_act`` on the strip.  The operations run in the order of
+    those scalar calls, so each value equals ``quot_dist_inf`` on the same
+    pair bit for bit.  sigma and tau are (P, 4) arrays.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+
+    def objective(rows, u, v):
+        w = v * im_scale
+        s, t = sigma[rows], tau[rows]
+        out = np.abs(s[:, 0, None] - (t[:, 0, None] + u))
+        for k, shift in ((1, w), (2, u), (3, w)):
+            np.maximum(out, np.abs(s[:, k, None] - (t[:, k, None] + shift)), out=out)
+        return out
+
+    return _pattern_search(objective, np.abs(sigma - tau).max(axis=1) + 1.0)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def quot_dist_inf(dist, sigma, tau, act) -> float:
     """Numerical infimum over the action parameter of dist(sigma, act(tau, lam)).
 
-    The objective is assumed to be a maximum of finitely many absolute
-    affine functions of (Re lam, Im lam), hence convex: a coarse
-    _GRID x _GRID grid over a box of half-width dist(sigma, tau) + 1
-    seeds an eight-direction pattern search with halving steps, which
-    cannot be trapped away from the minimum of such objectives.
+    The black-box form of ``quot_dist_pairs``: the same grid and pattern
+    search over one pair, with the objective evaluated through the two
+    callables one parameter at a time.
     """
 
-    def f(u: float, v: float) -> float:
-        return dist(sigma, act(tau, complex(u, v)))
+    def objective(rows, u, v):
+        return np.array([[dist(sigma, act(tau, complex(a, b)))
+                          for a, b in zip(u[0].tolist(), v[0].tolist())]])
 
-    box = dist(sigma, tau) + 1.0
-    axis = [-box + 2.0 * box * i / (_GRID - 1) for i in range(_GRID)]
-    best_u, best_v = 0.0, 0.0
-    best = f(0.0, 0.0)
-    for u in axis:
-        for v in axis:
-            val = f(u, v)
-            if val < best:
-                best, best_u, best_v = val, u, v
-    grid_best = best
-
-    h = 2.0 * box / (_GRID - 1)
-    iterations = 0
-    while h > _STEP_FLOOR and iterations < _MAX_ITER:
-        iterations += 1
-        moved = False
-        for du, dv in _DIRECTIONS:
-            u, v = best_u + h * du, best_v + h * dv
-            val = f(u, v)
-            if val < best:
-                best, best_u, best_v = val, u, v
-                moved = True
-        if not moved:
-            h *= 0.5
-    if best > grid_best + _TOL:
-        raise SolverDiverged("descent ended above the coarse-grid minimum")
-    return best
+    return float(_pattern_search(objective, np.array([dist(sigma, tau) + 1.0]))[0])
 
 
 def embed_q(x) -> KroneckerPoint:

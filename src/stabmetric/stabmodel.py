@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import OutsideRegion
+from .lin2 import real_number
 
 
 def _integer(value, what: str) -> int:
@@ -92,7 +93,7 @@ class KroneckerPoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KroneckerPoint":
-        return cls(tuple(data["x"]), _integer(data.get("l", 3), "l"))
+        return cls(tuple(real_number(v, "x") for v in data["x"]), _integer(data.get("l", 3), "l"))
 
 
 @dataclass(frozen=True)

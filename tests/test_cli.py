@@ -383,6 +383,14 @@ class TestInputBoundary:
             main(["dist", "--model", "r4", "--format", "csv", "[0,0,0,0]", "[1,0,0,0]"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("model, p, q", [
+        ("r4", "[1e308,0,0,0]", "[-1e308,0,0,0]"),
+        ("kronecker", "[0,1e308,0.5,0]", "[0,-1e308,0.5,0]"),
+    ])
+    def test_solver_overflow(self, capsys, model, p, q):
+        payload = self.error(capsys, "quotient-dist", "--model", model, p, q)
+        assert "not JSON compliant" in payload["message"]
+
     def test_oracle_overflow(self, capsys):
         payload = self.error(capsys, "dist", "--model", "kronecker",
                              "[0,1e308,0.5,0]", "[0,0,0.5,0]")
@@ -436,6 +444,21 @@ class TestInputBoundary:
         payload = self.error(capsys, "mass-growth", "--seed-vectors", vectors)
         assert payload["error"] == "ValueError"
         assert "pairs" in payload["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--model", "corbit", "true", "[0,1]"),
+        ("dist", "--model", "corbit", "[0,false]", "[0,1]"),
+        ("dist", "--model", "r4", "[0,0,true,0]", "[0,0,0,0]"),
+        ("quotient-dist", "--model", "kronecker", "[0,0,0.5,0]", "[false,0,0.5,0]"),
+        ("hn", "--point", '{"x":[0,true,0.5,0]}', "--object-class", '{"k":[1,1]}'),
+        ("geodesic-check", "--model", "quotient", '{"rep":[0,0,true,0]}', "[0,0,0,0]"),
+        ("mass-growth", "--seed-vectors", "[[true,false]]"),
+        ("mass-growth", "--matrix", "[[true,1],[1,1]]"),
+    ])
+    def test_bools_are_not_numbers(self, capsys, argv):
+        payload = self.error(capsys, *argv)
+        assert payload["error"] == "ValueError"
+        assert "must be a number" in payload["message"]
 
     def test_solver_grid_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ from stabmetric.dynamics import (
     axis_point,
     c_element,
     curve_pa_summary,
+    displacement_grid,
     entropy_value,
     h_coordinate,
     initial_mass_decay,
@@ -201,6 +202,19 @@ class TestHalfPlane:
             assert min(
                 poincare_distance(z, mobius_apply(mat, z)) for z in grid
             ) >= length - 1e-3
+
+
+    def test_displacement_grid_matches_scalar_calls(self):
+        rng = np.random.default_rng(9)
+        x, y = np.meshgrid(np.linspace(-3, 3, 21), np.geomspace(0.05, 20, 21), indexing="ij")
+        for _ in range(20):
+            mat = random_unimodular_hyperbolic(rng)
+            grid = displacement_grid(mat, x, y)
+            assert grid.shape == x.shape
+            for (i, j), value in np.ndenumerate(grid):
+                z = complex(x[i, j], y[i, j])
+                scalar = poincare_distance(z, mobius_apply(mat, z))
+                assert value == pytest.approx(scalar, rel=1e-14, abs=1e-15)
 
 
 class TestMassGrowth:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from stabmetric import lin2
+from stabmetric.dynamics import c_element
 from stabmetric.errors import NonPositiveDeterminant, NotHyperbolic
 from stabmetric.lin2 import (
     IDENTITY,
@@ -16,6 +18,7 @@ from stabmetric.lin2 import (
     diagonal_from_form,
     diagonalize_hyperbolic,
     eigen_pair,
+    golden_section_max,
     invert,
     is_identity,
     lift_eval,
@@ -31,6 +34,19 @@ def random_covered_map(rng) -> CoveredMap:
         m = Mat2(*(rng.uniform(-3.0, 3.0) for _ in range(4)))
         if m.det > 0.1:
             return CoveredMap(m, int(rng.integers(-2, 3)))
+
+
+def sampled_sup_displacement(g: CoveredMap, samples: int = 4096) -> float:
+    """Definitional oracle for sup_displacement: |f - id| at `samples`
+    evenly spaced phases of [0, 2), then golden-section refinement around
+    the best sample."""
+
+    def disp(phi: float) -> float:
+        return abs(lift_eval(g, phi) - phi)
+
+    step = 2.0 / samples
+    best, best_phi = max((disp(i * step), i * step) for i in range(samples))
+    return max(best, golden_section_max(disp, best_phi - step, best_phi + step, 1e-13))
 
 
 def random_integer_hyperbolic(rng, max_entry=20) -> Mat2:
@@ -174,6 +190,35 @@ class TestSupDisplacement:
             sup = sup_displacement(g)
             coarse = max(abs(lift_eval(g, p) - p) for p in np.linspace(0.0, 2.0, 257))
             assert sup >= coarse - 1e-12
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.tuples(*[st.floats(-3.0, 3.0)] * 4), st.integers(-2, 2),
+           st.none() | st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)))
+    def test_matches_sampled_oracle(self, entries, k, lam):
+        m = Mat2(*entries)
+        assume(m.det > 0.1)
+        g = CoveredMap(m, k)
+        if lam is not None:
+            g = compose(g, c_element(complex(*lam)))
+        assert abs(sup_displacement(g) - sampled_sup_displacement(g)) <= 1e-12
+
+    def test_conformal_maps_move_every_phase_alike(self):
+        # c(lam) shifts phases by -Re(lam), so compositions have |Re| as displacement
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            lam1, lam2 = (complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(2))
+            g = compose(c_element(lam1), c_element(lam2))
+            assert sup_displacement(g) == pytest.approx(abs((lam1 + lam2).real), abs=1e-14)
+
+    def test_at_most_five_lift_evaluations(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(lin2, "lift_eval", lambda g, phi: calls.append(phi) or lift_eval(g, phi))
+        sup_displacement(CoveredMap(Mat2.from_rows([[2.0, 1.0], [1.0, 1.0]]), 1))
+        assert len(calls) == 5
+        calls.clear()
+        sup_displacement(IDENTITY)
+        assert calls == [0.0]
 
 
 class TestGroupLaw:

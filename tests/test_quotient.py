@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from stabmetric.errors import OutsideRegion
+from stabmetric import quotient
+from stabmetric.errors import OutsideRegion, SolverDiverged
+from stabmetric.fixtures import _closed_form_pairs, build_fixture
 from stabmetric.quotient import (
     QuotPoint,
     dprime,
@@ -15,10 +17,17 @@ from stabmetric.quotient import (
     kron_quot_closed,
     quot_dist_closed,
     quot_dist_inf,
+    quot_dist_pairs,
     quot_minimizer,
     r4_act,
 )
-from stabmetric.stabmodel import ObjectClass, c_act, central_charge, d_B_closed
+from stabmetric.stabmodel import (
+    ObjectClass,
+    c_act,
+    central_charge,
+    d_B_closed,
+    random_region_point,
+)
 
 
 def random_vec4(rng):
@@ -135,6 +144,102 @@ class TestInfimumSolver:
             closed = kron_quot_closed(p, q)
             numeric = quot_dist_inf(d_B_closed, p, q, c_act)
             assert numeric == pytest.approx(closed, abs=1e-6)
+
+
+def strip_pairs(n, seed):
+    rng = np.random.default_rng(seed)
+    return [(random_region_point(rng), random_region_point(rng)) for _ in range(n)]
+
+
+def looped_quot_dist_inf(dist, sigma, tau, act) -> float:
+    """Reference for the solver: the grid and the pattern search as plain
+    loops over one pair, one objective call per point."""
+
+    def f(u, v):
+        return dist(sigma, act(tau, complex(u, v)))
+
+    box = dist(sigma, tau) + 1.0
+    grid = quotient._GRID
+    axis = [-box + 2.0 * box * i / (grid - 1) for i in range(grid)]
+    best_u, best_v, best = 0.0, 0.0, f(0.0, 0.0)
+    for u in axis:
+        for v in axis:
+            val = f(u, v)
+            if val < best:
+                best, best_u, best_v = val, u, v
+    h = 2.0 * box / (grid - 1)
+    iterations = 0
+    while h > quotient._STEP_FLOOR and iterations < quotient._MAX_ITER:
+        iterations += 1
+        moved = False
+        for du, dv in quotient._DIRECTIONS:
+            u, v = best_u + h * du, best_v + h * dv
+            val = f(u, v)
+            if val < best:
+                best, best_u, best_v = val, u, v
+                moved = True
+        if not moved:
+            h *= 0.5
+    return best
+
+
+class TestBatchedSolver:
+    """quot_dist_pairs and the black-box quot_dist_inf share one grid and
+    one pattern search, so they must agree bit for bit, with each other
+    and with the looped reference."""
+
+    def test_looped_reference(self):
+        sigma, tau = _closed_form_pairs(4)
+        pairs = strip_pairs(10, 37)
+        assert quot_dist_pairs(sigma, tau).tolist() == [
+            looped_quot_dist_inf(dprime, x, y, r4_act) for x, y in zip(sigma, tau)]
+        assert quot_dist_pairs([p.x for p, _ in pairs], [q.x for _, q in pairs],
+                               math.pi).tolist() == [
+            looped_quot_dist_inf(d_B_closed, p, q, c_act) for p, q in pairs]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_r4_pairs_of_the_fixture(self, seed):
+        sigma, tau = _closed_form_pairs(seed)
+        batched = quot_dist_pairs(sigma, tau).tolist()
+        assert batched == [quot_dist_inf(dprime, x, y, r4_act) for x, y in zip(sigma, tau)]
+
+    def test_strip_pairs(self):
+        pairs = strip_pairs(20, 31)
+        batched = quot_dist_pairs([p.x for p, _ in pairs], [q.x for _, q in pairs], math.pi)
+        assert batched.tolist() == [quot_dist_inf(d_B_closed, p, q, c_act) for p, q in pairs]
+
+    @pytest.mark.parametrize("pairs_per_block", [1, 7])
+    def test_grid_blocks_do_not_change_values(self, monkeypatch, pairs_per_block):
+        sigma, tau = _closed_form_pairs(5)
+        whole = quot_dist_pairs(sigma, tau).tolist()
+        monkeypatch.setattr(quotient, "_BLOCK_CELLS", pairs_per_block * quotient._GRID ** 2)
+        assert quot_dist_pairs(sigma, tau).tolist() == whole
+
+    def test_single_pair_matches_its_batch(self):
+        sigma, tau = _closed_form_pairs(6)
+        batched = quot_dist_pairs(sigma, tau).tolist()
+        assert [quot_dist_pairs([x], [y])[0] for x, y in zip(sigma[:10], tau[:10])] == batched[:10]
+
+
+class TestSolverDiverged:
+    """With a tolerance of -inf every descent ends "above" its grid minimum."""
+
+    def test_batched_solver_raises(self, monkeypatch):
+        monkeypatch.setattr(quotient, "_TOL", -math.inf)
+        sigma, tau = _closed_form_pairs(0)
+        with pytest.raises(SolverDiverged):
+            quot_dist_pairs(sigma, tau)
+
+    def test_black_box_solver_raises(self, monkeypatch):
+        monkeypatch.setattr(quotient, "_TOL", -math.inf)
+        with pytest.raises(SolverDiverged):
+            quot_dist_inf(dprime, (0.0, 0.0, 0.5, 0.0), (0.2, 0.1, 0.3, 0.4), r4_act)
+
+    def test_fixture_reports_the_error(self, monkeypatch):
+        monkeypatch.setattr(quotient, "_TOL", -math.inf)
+        result = build_fixture("quotient-closed-form", 0, 512)
+        assert result.passed is False
+        assert result.details["error"] == "SolverDiverged"
 
 
 class TestEmbedding:
