@@ -57,6 +57,7 @@ from .quotient import (
     kron_quot_closed,
     quot_dist_closed,
     quot_dist_inf,
+    quot_dist_pairs,
     quot_minimizer,
     r4_act,
 )

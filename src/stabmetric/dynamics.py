@@ -27,14 +27,7 @@ from .errors import (
     NotPseudoAnosov,
     NotUnimodular,
 )
-from .lin2 import (
-    CoveredMap,
-    Mat2,
-    _with_lift_value,
-    operator_norm,
-    real_number,
-    sup_displacement,
-)
+from .lin2 import CoveredMap, Mat2, _with_lift_value, operator_norm, real_number, sup_displacement
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ equals
 
     max{ |(y1-x1) - (y3-x3)| / 2,  |(y2-x2) - (y4-x4)| / 2 }.
 
+The numerical solver checks that closed form from the definition: it
+minimizes the sup distance over the action parameter with a coarse grid
+and a pattern search.  ``quot_dist_pairs`` runs it on P pairs of
+coordinate rows at once, as array operations; ``quot_dist_inf`` runs the
+same search on one pair through black-box distance and action callables.
+
 The embedding q sends a vector of the strip 0 < x3 - x1 < 1 to the
 Kronecker point with the same coordinates; it intertwines the two
 actions up to the Im/pi reparameterization and is isometric for both

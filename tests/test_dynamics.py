@@ -203,7 +203,6 @@ class TestHalfPlane:
                 poincare_distance(z, mobius_apply(mat, z)) for z in grid
             ) >= length - 1e-3
 
-
     def test_displacement_grid_matches_scalar_calls(self):
         rng = np.random.default_rng(9)
         x, y = np.meshgrid(np.linspace(-3, 3, 21), np.geomspace(0.05, 20, 21), indexing="ij")

@@ -191,7 +191,6 @@ class TestSupDisplacement:
             coarse = max(abs(lift_eval(g, p) - p) for p in np.linspace(0.0, 2.0, 257))
             assert sup >= coarse - 1e-12
 
-
     @settings(max_examples=80, deadline=None)
     @given(st.tuples(*[st.floats(-3.0, 3.0)] * 4), st.integers(-2, 2),
            st.none() | st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)))
