@@ -106,8 +106,8 @@ def _pattern_search(objective, box: np.ndarray) -> np.ndarray:
     """
     n = box.shape[0]
     best = objective(np.arange(n), np.zeros((n, 1)), np.zeros((n, 1)))[:, 0]
-    best_u = np.zeros(n)
-    best_v = np.zeros(n)
+    u0 = np.zeros(n)  # the current point of each problem
+    v0 = np.zeros(n)
     ticks = np.arange(_GRID, dtype=float)
     per_block = max(1, _BLOCK_CELLS // (_GRID * _GRID))
     for lo in range(0, n, per_block):
@@ -120,15 +120,15 @@ def _pattern_search(objective, box: np.ndarray) -> np.ndarray:
         cell = vals.argmin(axis=1)  # first minimum in scan order
         low = vals[pos, cell]
         better = low < best[rows]
-        best_u[rows] = np.where(better, axis[pos, cell // _GRID], 0.0)
-        best_v[rows] = np.where(better, axis[pos, cell % _GRID], 0.0)
+        u0[rows] = np.where(better, axis[pos, cell // _GRID], 0.0)
+        v0[rows] = np.where(better, axis[pos, cell % _GRID], 0.0)
         best[rows] = np.where(better, low, best[rows])
     grid_best = best.copy()
 
     # the descent state of the unfinished problems `live`: the current
     # point (u0, v0) and its value val0, the step h, and the sweep counters
     live = pos = np.arange(n)
-    u0, v0, val0 = best_u, best_v, best.copy()
+    val0 = best.copy()
     h = 2.0 * box / (_GRID - 1)
     iterations = np.zeros(n, dtype=int)
     pointer = np.zeros(n, dtype=int)  # next direction of the current sweep
