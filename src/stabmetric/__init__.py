@@ -25,9 +25,6 @@ from .lin2 import (
     CoveredMap,
     Mat2,
     compose,
-    diagonalize_hyperbolic,
-    eigen_pair,
-    invert,
     lift_eval,
     operator_norm,
     sup_displacement,

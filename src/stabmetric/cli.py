@@ -170,7 +170,7 @@ def _cmd_hn(args) -> int:
     cls = stabmodel.ObjectClass.from_dict(_parse_json(args.object_class, "object class"))
     profile = stabmodel.hn_profile(point, cls)
     payload = {
-        "point": point.to_dict(),
+        "point": metriclab.as_jsonable(point),
         "object_class": cls.to_dict(),
         "profile": profile.to_dict(),
         "central_charge": metriclab.as_jsonable(stabmodel.central_charge(point, cls)),
@@ -196,7 +196,7 @@ def _cmd_cat0(args) -> int:
     if cert is None:
         _emit({"result": "pass", "model": args.model}, args)
     else:
-        _emit({"result": "violation", "certificate": cert.to_dict()}, args)
+        _emit({"result": "violation", "certificate": metriclab.as_jsonable(cert)}, args)
     return 0
 
 
@@ -208,7 +208,7 @@ def _cmd_slim(args) -> int:
     if cert is None:
         _emit({"result": "pass", "model": args.model, "delta": args.delta}, args)
     else:
-        _emit({"result": "violation", "certificate": cert.to_dict()}, args)
+        _emit({"result": "violation", "certificate": metriclab.as_jsonable(cert)}, args)
     return 0
 
 
@@ -263,8 +263,11 @@ def _cmd_embed_check(args) -> int:
 def _cmd_fixtures(args) -> int:
     seed = _seed(args)
     metriclab.sample_params(args.resolution)  # reject a bad resolution before any fixture runs
+    ids = fixtures.fixture_ids(args.filter)
+    if not ids:
+        raise ValueError(f"no fixture id contains {args.filter!r}")
     results = []
-    for fid in fixtures.fixture_ids(args.filter):
+    for fid in ids:
         started = time.perf_counter()
         results.append(fixtures.build_fixture(fid, seed, args.resolution))
         if args.timings:

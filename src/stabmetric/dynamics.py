@@ -15,7 +15,7 @@ fixed points of the Moebius action and realizes arccosh(|trace| / 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -87,13 +87,6 @@ class Autoeq:
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
 
-    def to_dict(self) -> dict:
-        return {"A": self.rows()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Autoeq":
-        return cls.from_rows(data["A"])
-
 
 @dataclass(frozen=True)
 class MassSeed:
@@ -124,9 +117,6 @@ class PAClassification:
     pseudo_anosov: bool
     trace: int
     kind: str  # hyperbolic | parabolic | elliptic | central
-
-    def to_dict(self) -> dict:
-        return {"pseudo_anosov": self.pseudo_anosov, "trace": self.trace, "kind": self.kind}
 
 
 def pa_classify(f: Autoeq) -> PAClassification:
@@ -325,7 +315,7 @@ class CurveSummary:
     def to_dict(self) -> dict:
         out = {"genus": self.genus, "pseudo_anosov_exists": self.exists, "message": self.message}
         if self.classification is not None:
-            out["classification"] = self.classification.to_dict()
+            out["classification"] = asdict(self.classification)
         if self.stretch is not None:
             out["stretch_factor"] = self.stretch
         if self.translation is not None:

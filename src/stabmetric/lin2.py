@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .errors import NonPositiveDeterminant, NotHyperbolic
+from .errors import NonPositiveDeterminant
 
 
 def real_number(value, what: str) -> float:
@@ -57,10 +57,6 @@ class Mat2:
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
 
-    @property
-    def trace(self) -> float:
-        return self.a + self.d
-
     def inverse(self) -> "Mat2":
         det = self.det
         if det == 0.0:
@@ -85,14 +81,6 @@ class Mat2:
     def rows(self) -> list[list[float]]:
         return [[self.a, self.b], [self.c, self.d]]
 
-    def max_abs_diff(self, other: "Mat2") -> float:
-        return max(
-            abs(self.a - other.a),
-            abs(self.b - other.b),
-            abs(self.c - other.c),
-            abs(self.d - other.d),
-        )
-
 
 @dataclass(frozen=True)
 class CoveredMap:
@@ -109,19 +97,6 @@ class CoveredMap:
         if not self.matrix.det > 0.0:
             raise NonPositiveDeterminant("covered maps need det > 0")
 
-    def __call__(self, phi: float) -> float:
-        return lift_eval(self, phi)
-
-    def to_dict(self) -> dict:
-        return {"matrix": self.matrix.rows(), "lift_index": self.lift_index}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoveredMap":
-        return cls(Mat2.from_rows(data["matrix"]), int(data.get("lift_index", 0)))
-
-
-IDENTITY = CoveredMap(Mat2.identity(), 0)
-
 
 def operator_norm(m: Mat2) -> float:
     """Largest singular value: sup of |Mv| over Euclidean unit vectors."""
@@ -129,26 +104,6 @@ def operator_norm(m: Mat2) -> float:
     det = m.det
     gap = math.sqrt(max(t * t - 4.0 * det * det, 0.0))
     return math.sqrt(0.5 * (t + gap))
-
-
-def eigen_pair(m: Mat2):
-    """Roots of the characteristic polynomial, largest modulus first.
-
-    Modulus ties are broken by the larger real part, then by the larger
-    imaginary part, which puts +i before -i for rotations.
-    """
-    tr = m.trace
-    det = m.det
-    disc = tr * tr - 4.0 * det
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        big = 0.5 * (tr + s) if tr >= 0.0 else 0.5 * (tr - s)
-        small = det / big if big != 0.0 else 0.5 * (tr - s)
-        if abs(big) < abs(small) or (abs(big) == abs(small) and small > big):
-            big, small = small, big
-        return (big, small)
-    s = 0.5 * math.sqrt(-disc)
-    return (complex(0.5 * tr, s), complex(0.5 * tr, -s))
 
 
 def _direction_angle(m: Mat2, phi: float) -> float:
@@ -240,83 +195,3 @@ def compose(g1: CoveredMap, g2: CoveredMap) -> CoveredMap:
     """Group law: matrices multiply, lifts compose, (M1,f1)(M2,f2) = (M1 M2, f1 o f2)."""
     m = g1.matrix @ g2.matrix
     return _with_lift_value(m, lift_eval(g1, lift_eval(g2, 0.0)))
-
-
-def _solve_lift_zero(g: CoveredMap) -> float:
-    """The unique x with f(x) = 0, by bisection on the increasing lift."""
-    f0 = lift_eval(g, 0.0)
-    lo = float(math.floor(-f0))
-    hi = lo + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * max(1.0, abs(mid)):
-            break
-        if lift_eval(g, mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-def invert(g: CoveredMap) -> CoveredMap:
-    """Group inverse: f of the result is the functional inverse of f of g."""
-    return _with_lift_value(g.matrix.inverse(), _solve_lift_zero(g))
-
-
-def is_identity(g: CoveredMap, tol: float = 1e-12) -> bool:
-    """Semantic identity test: matrix close to I and lift close to id.
-
-    The lift is evaluated rather than comparing lift_index to zero: when a
-    float matrix product lands just below the angle wrap at 0, the base
-    lift jumps by 2 and the index compensates by -1 for the same map.
-    """
-    return (
-        g.matrix.max_abs_diff(Mat2.identity()) <= tol
-        and abs(lift_eval(g, 0.0)) <= tol
-    )
-
-
-def diagonalize_hyperbolic(a: Mat2):
-    """Write a determinant-one matrix with |trace| > 2 as h D h^{-1}.
-
-    Returns (h, r, form) with det(h) > 0, |r| > 1 and D = diag(r, 1/r) or
-    diag(1/r, r) according to the form tag; the column order of h is the
-    one that keeps its determinant positive.
-    """
-    tr = a.trace
-    if abs(tr) <= 2.0:
-        raise NotHyperbolic(f"trace {tr!r} has absolute value <= 2")
-    if abs(a.det - 1.0) > 1e-9:
-        raise ValueError("matrix must have determinant 1")
-    s = math.sqrt(tr * tr - 4.0)
-    r = 0.5 * (tr + math.copysign(s, tr))
-    small = 1.0 / r
-    vr = _unit_eigenvector(a, r)
-    vs = _unit_eigenvector(a, small)
-    h = Mat2(vr[0], vs[0], vr[1], vs[1])
-    form = "diag(r,1/r)"
-    if h.det <= 0.0:
-        h = Mat2(vs[0], vr[0], vs[1], vr[1])
-        form = "diag(1/r,r)"
-    return h, r, form
-
-
-def diagonal_from_form(r: float, form: str) -> Mat2:
-    if form == "diag(r,1/r)":
-        return Mat2.diagonal(r, 1.0 / r)
-    if form == "diag(1/r,r)":
-        return Mat2.diagonal(1.0 / r, r)
-    raise ValueError(f"unknown form tag {form!r}")
-
-
-def _unit_eigenvector(a: Mat2, lam: float) -> tuple[float, float]:
-    u = (a.b, lam - a.a)
-    v = (lam - a.d, a.c)
-    w = u if math.hypot(*u) >= math.hypot(*v) else v
-    n = math.hypot(*w)
-    if n == 0.0:
-        raise ArithmeticError("degenerate eigenvector")
-    w = (w[0] / n, w[1] / n)
-    # canonical sign: dominant component positive
-    if (abs(w[0]) >= abs(w[1]) and w[0] < 0.0) or (abs(w[1]) > abs(w[0]) and w[1] < 0.0):
-        w = (-w[0], -w[1])
-    return w

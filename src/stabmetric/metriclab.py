@@ -89,24 +89,12 @@ class TriangleCertificate:
     seed: int = 0
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "space": self.space,
-            "vertices": [as_jsonable(v) for v in self.vertices],
-            "witness": {k: as_jsonable(v) for k, v in self.witness.items()},
-            "margin": self.margin,
-            "resolution": self.resolution,
-            "seed": self.seed,
-            "params": {k: as_jsonable(v) for k, v in self.params.items()},
-        }
-
 
 def as_jsonable(value):
     """Serialize points and numbers from any of the bundled models, and
-    the lists, tuples and dicts that hold them, as JSON values.  A value
-    with a ``to_dict`` method is serialized through it, any other
-    dataclass instance field by field; anything else is a TypeError."""
+    the lists, tuples and dicts that hold them, as JSON values.  A
+    dataclass instance is serialized field by field; anything else is a
+    TypeError."""
     if isinstance(value, complex):
         return [value.real, value.imag]
     if isinstance(value, (bool, int, float, str)) or value is None:
@@ -123,8 +111,6 @@ def as_jsonable(value):
         return [as_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: as_jsonable(v) for k, v in value.items()}
-    if hasattr(value, "to_dict"):
-        return as_jsonable(value.to_dict())
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: as_jsonable(getattr(value, f.name)) for f in fields(value)}
     raise TypeError(f"cannot serialize {type(value).__name__} as JSON")
@@ -179,6 +165,8 @@ def cat0_check(space: SpaceHandle, x, y, z, *, resolution: int = 512,
     Comparison points are matched by arclength from the first-named
     vertex of each side.
     """
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol!r}")
     ts = sample_params(resolution)
     sides = _sides(space.coords(x, y, z))
     lengths = tuple(space.dist(p0, p1) for p0, p1 in _sides((x, y, z)))
@@ -260,8 +248,8 @@ def slim_check(space: SpaceHandle, x, y, z, delta: float, *, resolution: int = 5
     Set distances are approximated from side samples and tightened by one
     local refinement pass around the witness.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
     ts = sample_params(resolution)
     vertices = space.coords(x, y, z)
     sampled = [space.path(a, b, ts) for a, b in _sides(vertices)]

@@ -52,11 +52,6 @@ class ObjectClass:
         if self.k1 + self.k2 < 1:
             raise ValueError("class must be nonzero")
 
-    def direct_sum(self, other: "ObjectClass") -> "ObjectClass":
-        if self.shift != other.shift:
-            raise ValueError("direct sums require equal shifts")
-        return ObjectClass(self.k1 + other.k1, self.k2 + other.k2, self.shift)
-
     def to_dict(self) -> dict:
         return {"k": [self.k1, self.k2], "shift": self.shift}
 
@@ -87,9 +82,6 @@ class KroneckerPoint:
     @property
     def in_region(self) -> bool:
         return 0.0 < self.x[2] - self.x[0] < 1.0
-
-    def to_dict(self) -> dict:
-        return {"x": list(self.x), "l": self.l}
 
     @classmethod
     def from_dict(cls, data: dict) -> "KroneckerPoint":

@@ -314,6 +314,27 @@ class TestReadmeTable:
         assert documented == [(fid, claim) for fid, (claim, _) in FIXTURES.items()]
 
 
+class TestReadmeSchemas:
+    def test_documented_keys_match_reports(self, capsys):
+        # the reports serialize dataclass fields, so a field rename must show up here
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = " ".join(readme.split("## JSON schemas")[1].split("\n## ")[0].split())
+
+        def keys(label):
+            body = re.search(label + r": `\{(.*?)\}`", section).group(1)
+            return set(re.findall(r'"(\w+)"', body))
+
+        _, out, _ = run(capsys, "cat0-check", "--model", "corbit", "--resolution", "16",
+                        "--vertices", json.dumps([[0, 0], [2, 0], [1, 1 / math.pi]]))
+        certificate = json.loads(out)["certificate"]
+        _, out, _ = run(capsys, "hn", "--point", "[0.5,0,1,0]",
+                        "--object-class", '{"k":[2,3],"shift":0}')
+        hn = json.loads(out)
+        assert keys("Certificates") == set(certificate)
+        assert keys("Kronecker point") == set(hn["point"])
+        assert keys("object class") == set(hn["object_class"])
+
+
 class TestFixtureTimings:
     def test_one_stderr_line_per_selected_id(self, capsys):
         argv = ("fixtures", "--filter", "corbit", "--resolution", "64")
@@ -459,6 +480,35 @@ class TestInputBoundary:
         payload = self.error(capsys, *argv)
         assert payload["error"] == "ValueError"
         assert "must be a number" in payload["message"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_filter_matching_nothing(self, capsys, monkeypatch, fmt):
+        # an empty selection would report all_passed over no fixtures
+        monkeypatch.setattr("stabmetric.fixtures.build_fixture",
+                            lambda *args: pytest.fail("a fixture ran"))
+        payload = self.error(capsys, "fixtures", "--filter", "nosuch", "--format", fmt)
+        assert payload["error"] == "ValueError"
+        assert "'nosuch'" in payload["message"]
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+    def test_cat0_tol_must_be_finite(self, capsys, tol):
+        payload = self.error(capsys, "cat0-check", "--model", "corbit", f"--tol={tol}",
+                             "--vertices", "[[0,0],[2,0],[1,0.3]]")
+        assert payload["error"] == "ValueError"
+        assert "tol must be finite" in payload["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("slim-check", "--model", "corbit", "--delta", "nan",
+         "--vertices", "[[0,0],[4,0],[0,1.3]]"),
+        ("slim-check", "--model", "corbit", "--delta", "inf",
+         "--vertices", "[[0,0],[4,0],[0,1.3]]"),
+        ("sweep", "--kind", "slim-grid", "--deltas", "nan"),
+        ("sweep", "--kind", "slim-grid", "--deltas", "inf"),
+    ])
+    def test_delta_must_be_finite(self, capsys, argv):
+        payload = self.error(capsys, *argv)
+        assert payload["error"] == "ValueError"
+        assert "delta must be finite and positive" in payload["message"]
 
     def test_solver_grid_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

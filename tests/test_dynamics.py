@@ -55,9 +55,6 @@ class TestAutoeq:
         assert FIB @ FIB.inverse() == Autoeq(1, 0, 0, 1)
         assert FIB.power(-2) == (FIB.inverse()) @ (FIB.inverse())
 
-    def test_round_trip(self):
-        assert Autoeq.from_dict(FIB.to_dict()) == FIB
-
 
 class TestClassification:
     def test_fibonacci_is_pseudo_anosov(self):

@@ -113,7 +113,7 @@ class TestCat0Check:
     def test_certificate_serializes(self):
         space = c_orbit_space()
         cert = cat0_check(space, 0j, 2 + 0j, complex(1.0, 1.0 / math.pi), resolution=64)
-        payload = json.dumps(cert.to_dict(), sort_keys=True)
+        payload = json.dumps(metriclab.as_jsonable(cert), sort_keys=True)
         data = json.loads(payload)
         assert data["kind"] == "cat0-violation"
         assert data["resolution"] == 64
@@ -333,8 +333,8 @@ class TestRowBlocks:
         space = make_space()
 
         def run():
-            return (cat0_check(space, *tri, resolution=40, tol=-1.0).to_dict(),
-                    slim_check(space, *tri, 0.01, resolution=40).to_dict(),
+            return (metriclab.as_jsonable(cat0_check(space, *tri, resolution=40, tol=-1.0)),
+                    metriclab.as_jsonable(slim_check(space, *tri, 0.01, resolution=40)),
                     geodesic_deviation(space, tri[0], tri[2], resolution=40))
 
         whole = run()
