@@ -113,10 +113,11 @@ def _write(text: str, args) -> None:
 
 
 def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    return int(env) if env else 0
+    """--seed, else $STABMETRIC_SEED, else 0; numpy takes no negative seed."""
+    seed = args.seed if args.seed is not None else int(os.environ.get(ENV_SEED) or 0)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed!r}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +148,10 @@ def _cmd_quotient_dist(args) -> int:
         )
         numeric = float(quotient.quot_dist_pairs([x], [y])[0])
         mini = quotient.quot_minimizer(x, y)
-    elif args.model == "kronecker":
+    else:  # argparse limits --model to r4 and kronecker
         closed = quotient.kron_quot_closed(x, y)
         numeric = float(quotient.quot_dist_pairs([x.x], [y.x], math.pi)[0])
         mini = None
-    else:
-        raise ValueError("quotient distances exist for models r4 and kronecker")
     payload = {
         "model": args.model,
         "closed_form": closed,

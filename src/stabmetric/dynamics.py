@@ -328,9 +328,12 @@ class CurveSummary:
 def curve_pa_summary(genus: int, f: Optional[Autoeq] = None) -> CurveSummary:
     """Classification summary for the derived category of a smooth
     projective curve: away from genus one no autoequivalence is
-    pseudo-Anosov; at genus one the trace test decides."""
+    pseudo-Anosov; at genus one, the only genus a matrix applies to, the
+    trace test decides."""
     if genus < 0:
         raise ValueError("genus must be nonnegative")
+    if genus != 1 and f is not None:
+        raise ValueError(f"an induced matrix applies at genus one only, not genus {genus}")
     if genus != 1:
         return CurveSummary(genus, False, "no pseudo-Anosov autoequivalences exist")
     if f is None:

@@ -28,7 +28,7 @@ import numpy as np
 from . import dynamics, metriclab, quotient, stabmodel
 from .dynamics import Autoeq, MassSeed
 from .errors import MissingMatrix
-from .lin2 import CoveredMap, Mat2, compose, golden_section_max
+from .lin2 import CoveredMap, Mat2, compose
 from .metriclab import SpaceHandle
 
 GOLDEN_RATIO = 0.5 * (1.0 + math.sqrt(5.0))
@@ -410,10 +410,10 @@ def _straight_lines(seed: int, resolution: int):
 
 
 def _quarter_arc_oracle() -> float:
-    """Max of chord(u) - u * chord(1) for the quarter arc, chord(u) being
-    the planar distance across a parameter gap u."""
-    return golden_section_max(
-        lambda u: 2.0 * math.sin(0.25 * math.pi * u) - math.sqrt(2.0) * u, 0.0, 1.0, 1e-14)
+    """Max of chord(u) - u * chord(1) = 2 sin(pi u / 4) - sqrt(2) u for the
+    quarter arc, attained where cos(pi u / 4) = c = 2 sqrt(2) / pi."""
+    c = 2.0 * math.sqrt(2.0) / math.pi
+    return 2.0 * math.sqrt(1.0 - c * c) - 4.0 * math.sqrt(2.0) / math.pi * math.acos(c)
 
 
 FIXTURES: dict[str, tuple[str, object]] = {

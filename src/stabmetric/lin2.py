@@ -163,25 +163,6 @@ def sup_displacement(g: CoveredMap) -> float:
     return max(abs(lift_eval(g, phi) - phi) for phi in phases)
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float) -> float:
-    """Largest value of f found by golden-section search on [lo, hi],
-    shrinking the bracket to width tol; f must be unimodal there."""
-    inv = 0.5 * (math.sqrt(5.0) - 1.0)
-    p = hi - inv * (hi - lo)
-    q = lo + inv * (hi - lo)
-    fp, fq = f(p), f(q)
-    while hi - lo > tol:
-        if fp < fq:
-            lo, p, fp = p, q, fq
-            q = lo + inv * (hi - lo)
-            fq = f(q)
-        else:
-            hi, q, fq = q, p, fp
-            p = hi - inv * (hi - lo)
-            fp = f(p)
-    return max(fp, fq)
-
-
 def _with_lift_value(m: Mat2, value_at_zero: float) -> CoveredMap:
     """Covered map over m whose lift takes the given value at 0."""
     offset = value_at_zero - _base_at_zero(m)

@@ -14,12 +14,12 @@ margin from the same data.
 Every bundled space but the Euclidean plane is one linear sup-space:
 coordinates x in R^n, straight lines as geodesics, and the metric
 max_k w_k |L_k (x - y)| (``linear_sup_space``); ``dist`` stays each
-model's own closed form.
+model's own closed form.  Kronecker points hold the strip by construction.
 
     handle               rows L                     weights w
     c-orbit              I_2 on (Re, Im)            (1, pi)
     r4-sup               I_4                        1
-    kronecker            I_4 (strip checked)        1
+    kronecker            I_4                        1
     r4-quotient          rows 3-4 of I_4            1/2
     kronecker-quotient   [[1,0,-1,0],[0,1,0,-1]]    1/2
 """

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutsideRegion, SolverDiverged
+from .errors import SolverDiverged
 from .stabmodel import KroneckerPoint, c_act, d_B_closed, random_region_vector
 
 
@@ -211,14 +211,10 @@ def quot_dist_inf(dist, sigma, tau, act) -> float:
 
 
 def embed_q(x) -> KroneckerPoint:
-    """Isometric embedding of the strip into the Kronecker model.
-
-    The coordinate systems are aligned by construction; the R^4 action by
-    lambda corresponds to the stability action by Re(lambda) + i Im(lambda)/pi.
-    """
-    x = tuple(float(v) for v in x)
-    if not 0.0 < x[2] - x[0] < 1.0:
-        raise OutsideRegion(f"x3 - x1 = {x[2] - x[0]!r} is not in (0, 1)")
+    """Isometric embedding of the strip into the Kronecker model: the
+    coordinates are kept, and the point constructor rejects a vector
+    outside the strip.  The R^4 action by lambda corresponds to the
+    stability action by Re(lambda) + i Im(lambda)/pi."""
     return KroneckerPoint(x)
 
 

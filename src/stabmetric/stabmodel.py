@@ -63,9 +63,10 @@ class ObjectClass:
 
 @dataclass(frozen=True)
 class KroneckerPoint:
-    """Stability condition on the l-Kronecker quiver, as coordinates in R^4.
+    """Stability condition on the l-Kronecker quiver, as coordinates in R^4
+    with 0 < x3 - x1 < 1: the strip holds by construction (OutsideRegion).
 
-    The arrow count l is metadata only: inside the admissible strip the
+    The arrow count l is metadata only: inside the strip the
     Harder-Narasimhan structure does not depend on it.
     """
 
@@ -76,12 +77,11 @@ class KroneckerPoint:
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
         if len(self.x) != 4:
             raise ValueError("need exactly four coordinates")
+        gap = self.x[2] - self.x[0]
+        if not 0.0 < gap < 1.0:
+            raise OutsideRegion(f"x3 - x1 = {gap!r} is not in (0, 1)")
         if self.l < 1:
             raise ValueError("arrow count must be positive")
-
-    @property
-    def in_region(self) -> bool:
-        return 0.0 < self.x[2] - self.x[0] < 1.0
 
     @classmethod
     def from_dict(cls, data: dict) -> "KroneckerPoint":
@@ -121,15 +121,8 @@ class HNProfile:
         }
 
 
-def _require_region(p: KroneckerPoint) -> None:
-    if not p.in_region:
-        gap = p.x[2] - p.x[0]
-        raise OutsideRegion(f"x3 - x1 = {gap!r} is not in (0, 1)")
-
-
 def central_charge(p: KroneckerPoint, c: ObjectClass) -> complex:
     """Additive charge of the class, with (-1)^shift for the shift."""
-    _require_region(p)
     x1, x2, x3, x4 = p.x
     z = c.k1 * _cexp(x2, x1) + c.k2 * _cexp(x4, x3)
     return -z if c.shift % 2 else z
@@ -147,7 +140,6 @@ def hn_profile(p: KroneckerPoint, c: ObjectClass) -> HNProfile:
     so the factors are S2^{k2} then S1^{k1}; a shift adds n to both
     phases and leaves the mass unchanged.
     """
-    _require_region(p)
     x1, x2, x3, x4 = p.x
     factors = []
     if c.k2 > 0:
@@ -160,8 +152,6 @@ def hn_profile(p: KroneckerPoint, c: ObjectClass) -> HNProfile:
 
 def d_B_closed(p: KroneckerPoint, q: KroneckerPoint) -> float:
     """Bridgeland distance between two points of the strip: max_j |x_j - y_j|."""
-    _require_region(p)
-    _require_region(q)
     return max(abs(a - b) for a, b in zip(p.x, q.x))
 
 
@@ -175,8 +165,6 @@ def d_B_sampled(p: KroneckerPoint, q: KroneckerPoint, K: int) -> float:
     logs, which keeps the supremum exact; mixed classes are dominated by
     the pure ones (mediant inequality) and evaluated with explicit sums.
     """
-    _require_region(p)
-    _require_region(q)
     if K < 1:
         raise ValueError("K must be at least 1")
     best = 0.0
@@ -229,7 +217,6 @@ def support_constant(p: KroneckerPoint) -> float:
     """Infimum of admissible support constants: semistable classes are the
     multiples of a single simple, so the worst ratio ||v|| / |Z(v)| is
     max(exp(-x2), exp(-x4))."""
-    _require_region(p)
     return max(math.exp(-p.x[1]), math.exp(-p.x[3]))
 
 

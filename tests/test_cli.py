@@ -357,6 +357,33 @@ class TestRegionBoundary:
         assert out == ""
         assert json.loads(err)["error"] == "OutsideRegion"
 
+    # every command that reads a Kronecker point, with argv slots P
+    # (outside the strip: x3 - x1 = 1.5), Q (inside) and TRIANGLE (three
+    # vertices outside)
+    SLOTS = {"P": [0, 0, 1.5, 0], "Q": [0.2, 0, 0.5, 0.3],
+             "TRIANGLE": [[0, 0, 1.5, 0], [4, 0, 5.5, 0], [0, 4, 1.5, 4]]}
+
+    @pytest.mark.parametrize("form", ["list", "dict"])
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--model", "kronecker", "P", "Q"),
+        ("quotient-dist", "--model", "kronecker", "P", "Q"),
+        ("hn", "--point", "P", "--object-class", '{"k":[1,1]}'),
+        ("cat0-check", "--model", "kronecker", "--resolution", "16", "--vertices", "TRIANGLE"),
+        ("slim-check", "--model", "kronecker", "--resolution", "16", "--delta", "0.5",
+         "--vertices", "TRIANGLE"),
+        ("geodesic-check", "--model", "kronecker", "--resolution", "16", "P", "Q"),
+    ], ids=lambda argv: argv[0])
+    def test_point_outside_strip(self, capsys, argv, form):
+        def point(x):
+            return x if form == "list" else {"x": x, "l": 3}
+
+        slots = {"P": point(self.SLOTS["P"]), "Q": point(self.SLOTS["Q"]),
+                 "TRIANGLE": [point(v) for v in self.SLOTS["TRIANGLE"]]}
+        code, out, err = run(capsys, *(json.dumps(slots[a]) if a in slots else a for a in argv))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == "OutsideRegion"
+
 
 class TestInputBoundary:
     def error(self, capsys, *argv):
@@ -384,6 +411,11 @@ class TestInputBoundary:
                                         '[["2",1],[1,1]]'])
     def test_pa_rejects_non_integer_entries(self, capsys, matrix):
         assert self.error(capsys, "pa", "--matrix", matrix)["error"] == "NotUnimodular"
+
+    def test_pa_matrix_away_from_genus_one(self, capsys):
+        payload = self.error(capsys, "pa", "--genus", "2", "--matrix", "[[2,1],[1,1]]")
+        assert payload["error"] == "ValueError"
+        assert "genus one only" in payload["message"]
 
     def test_pa_accepts_integral_floats(self, capsys):
         code, out, _ = run(capsys, "pa", "--matrix", "[[2.0,1],[1,1.0]]")
@@ -489,6 +521,23 @@ class TestInputBoundary:
         payload = self.error(capsys, "fixtures", "--filter", "nosuch", "--format", fmt)
         assert payload["error"] == "ValueError"
         assert "'nosuch'" in payload["message"]
+
+    def test_negative_seed_runs_no_fixture(self, capsys, monkeypatch):
+        monkeypatch.setattr("stabmetric.fixtures.build_fixture",
+                            lambda *args: pytest.fail("a fixture ran"))
+        payload = self.error(capsys, "fixtures", "--seed", "-1")
+        assert payload["error"] == "ValueError"
+        assert "seed must be nonnegative" in payload["message"]
+
+    def test_negative_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("STABMETRIC_SEED", "-1")
+        payload = self.error(capsys, "embed-check", "-n", "1")
+        assert "seed must be nonnegative" in payload["message"]
+
+    def test_negative_seed_not_certified(self, capsys):
+        payload = self.error(capsys, "cat0-check", "--model", "corbit", "--seed", "-5",
+                             "--resolution", "16", "--vertices", "[[0,0],[2,0],[1,0.3]]")
+        assert "seed must be nonnegative" in payload["message"]
 
     @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
     def test_cat0_tol_must_be_finite(self, capsys, tol):

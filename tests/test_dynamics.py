@@ -309,6 +309,11 @@ class TestCurveSummary:
         with pytest.raises(MissingMatrix):
             curve_pa_summary(1)
 
+    def test_matrix_away_from_genus_one_rejected(self):
+        for genus in (0, 2):
+            with pytest.raises(ValueError, match="genus one only"):
+                curve_pa_summary(genus, FIB)
+
     def test_genus_one_full_report(self):
         summary = curve_pa_summary(1, FIB)
         assert summary.exists

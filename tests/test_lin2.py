@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from stabmetric import lin2
 from stabmetric.dynamics import c_element
 from stabmetric.errors import NonPositiveDeterminant
+from stabmetric.fixtures import _quarter_arc_oracle
 from stabmetric.lin2 import (
     CoveredMap,
     Mat2,
     compose,
-    golden_section_max,
     lift_eval,
     operator_norm,
     sup_displacement,
@@ -35,6 +35,25 @@ def random_covered_map(rng) -> CoveredMap:
             return CoveredMap(m, int(rng.integers(-2, 3)))
 
 
+def golden_section_max(f, lo: float, hi: float, tol: float) -> float:
+    """Largest value of f found by golden-section search on [lo, hi],
+    shrinking the bracket to width tol; f must be unimodal there."""
+    inv = 0.5 * (math.sqrt(5.0) - 1.0)
+    p = hi - inv * (hi - lo)
+    q = lo + inv * (hi - lo)
+    fp, fq = f(p), f(q)
+    while hi - lo > tol:
+        if fp < fq:
+            lo, p, fp = p, q, fq
+            q = lo + inv * (hi - lo)
+            fq = f(q)
+        else:
+            hi, q, fq = q, p, fp
+            p = hi - inv * (hi - lo)
+            fp = f(p)
+    return max(fp, fq)
+
+
 def sampled_sup_displacement(g: CoveredMap, samples: int = 4096) -> float:
     """Definitional oracle for sup_displacement: |f - id| at `samples`
     evenly spaced phases of [0, 2), then golden-section refinement around
@@ -46,6 +65,13 @@ def sampled_sup_displacement(g: CoveredMap, samples: int = 4096) -> float:
     step = 2.0 / samples
     best, best_phi = max((disp(i * step), i * step) for i in range(samples))
     return max(best, golden_section_max(disp, best_phi - step, best_phi + step, 1e-13))
+
+
+class TestGoldenSection:
+    def test_agrees_with_quarter_arc_closed_form(self):
+        found = golden_section_max(
+            lambda u: 2.0 * math.sin(0.25 * math.pi * u) - math.sqrt(2.0) * u, 0.0, 1.0, 1e-14)
+        assert found == pytest.approx(_quarter_arc_oracle(), abs=1e-15)
 
 
 class TestOperatorNorm:

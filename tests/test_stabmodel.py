@@ -112,9 +112,8 @@ class TestClosedMetric:
         assert d_B_closed(BASE, BASE) == 0.0
 
     def test_region_enforced(self):
-        bad = KroneckerPoint((0.0, 0.0, 1.0, 0.0))
         with pytest.raises(OutsideRegion):
-            d_B_closed(BASE, bad)
+            d_B_closed(BASE, KroneckerPoint((0.0, 0.0, 1.0, 0.0)))
 
     def test_translation_distance(self):
         rng = np.random.default_rng(5)
@@ -194,7 +193,8 @@ class TestCAct:
         rng = np.random.default_rng(19)
         for _ in range(20):
             p = random_region_point(rng)
-            assert c_act(p, complex(rng.uniform(-9, 9), rng.uniform(-9, 9))).in_region
+            x1, _, x3, _ = c_act(p, complex(rng.uniform(-9, 9), rng.uniform(-9, 9))).x
+            assert 0.0 < x3 - x1 < 1.0
 
 
 class TestSupportConstant:
