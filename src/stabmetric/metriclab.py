@@ -4,10 +4,10 @@ A space is handed over as a ``SpaceHandle`` on coordinate arrays.  The
 checkers encode their vertices once into rows of an (N, n) float array,
 sample each side with one ``path`` call, take every distance they
 sample from ``pairwise`` matrices scanned in row blocks (never held
-whole), and decode only the witnesses back into model points.  They
-compare sampled geodesic triangles against Euclidean comparison
-triangles (CAT(0)), test Gromov slimness, and certify non-unique
-geodesics.  A certificate stores the witnesses, the margin, and the
+whole), each symmetric pair once, and decode only the witnesses back
+into model points.  They compare sampled geodesic triangles against
+Euclidean comparison triangles (CAT(0)), test Gromov slimness, and
+certify non-unique geodesics.  A certificate stores the witnesses, the margin, and the
 sampling parameters, so a second implementation can re-derive the
 margin from the same data.
 
@@ -180,15 +180,7 @@ def cat0_check(space: SpaceHandle, x, y, z, *, resolution: int = 512,
 
     pts = np.concatenate(sampled)
     carr = np.concatenate(comp)
-    best = None  # (margin, i, j, space distance, comparison distance)
-    for rows in _row_blocks(len(pts), len(pts)):
-        dmat = space.pairwise(pts[rows], pts)
-        emat = np.abs(carr[rows, None] - carr[None, :])
-        viol = dmat - emat
-        i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
-        if best is None or viol[i, j] > best[0]:
-            best = (float(viol[i, j]), rows.start + i, j, float(dmat[i, j]), float(emat[i, j]))
-    margin, i, j, d_ij, e_ij = best
+    margin, i, j, d_ij, e_ij = _cat0_scan(space, pts, carr)
     if margin <= tol:
         return None
     n = len(ts)
@@ -214,6 +206,45 @@ def cat0_check(space: SpaceHandle, x, y, z, *, resolution: int = 512,
         seed=seed,
         params={"tol": tol, "side_lengths": lengths},
     )
+
+
+def _cat0_scan(space: SpaceHandle, pts: np.ndarray, carr: np.ndarray) -> tuple:
+    """The first maximum in row-major order of d(p_i, p_j) - |c_i - c_j| over
+    the sampled points p and their comparison points c, as (margin, i, j,
+    space distance, comparison distance).  Both matrices are exactly
+    symmetric, so that cell lies in the upper block triangle, and only
+    that triangle is scanned: row block ``rows`` against the columns
+    ``rows.start:``."""
+    best = None
+    for rows in _row_blocks(len(pts), len(pts)):
+        cols = slice(rows.start, None)
+        dmat = space.pairwise(pts[rows], pts[cols])
+        emat = np.abs(carr[rows, None] - carr[None, cols])
+        viol = dmat - emat
+        i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        if best is None or viol[i, j] > best[0]:
+            best = (float(viol[i, j]), rows.start + i, rows.start + j,
+                    float(dmat[i, j]), float(emat[i, j]))
+    return best
+
+
+def _slim_scan(space: SpaceHandle, sampled: list) -> list:
+    """For each sampled side, the distances of its samples to the samples
+    of the other two sides.  The matrix of side k against side k + 1 is
+    scanned once: its row minima are side k's distances to side k + 1,
+    and its column minima side k + 1's distances to side k, since
+    pairwise(B, A) is pairwise(A, B) transposed."""
+    n = len(sampled[0])
+    to_next, to_prev = [], []
+    for k in range(3):
+        row_mins, col_mins = [], np.inf
+        for rows in _row_blocks(n, n):
+            dmat = space.pairwise(sampled[k][rows], sampled[(k + 1) % 3])
+            row_mins.append(dmat.min(axis=1))
+            col_mins = np.minimum(col_mins, dmat.min(axis=0))
+        to_next.append(np.concatenate(row_mins))
+        to_prev.append(col_mins)
+    return [np.minimum(to_next[k], to_prev[k - 1]) for k in range(3)]
 
 
 def _dist_to_side(space: SpaceHandle, point: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -255,10 +286,7 @@ def slim_check(space: SpaceHandle, x, y, z, delta: float, *, resolution: int = 5
     sampled = [space.path(a, b, ts) for a, b in _sides(vertices)]
 
     best = None  # (min_dist, side_idx, sample_idx)
-    for idx in range(3):
-        others = np.concatenate((sampled[(idx + 1) % 3], sampled[(idx + 2) % 3]))
-        mins = np.concatenate([space.pairwise(sampled[idx][rows], others).min(axis=1)
-                               for rows in _row_blocks(len(ts), len(others))])
+    for idx, mins in enumerate(_slim_scan(space, sampled)):
         i = int(np.argmax(mins))
         if best is None or mins[i] > best[0]:
             best = (float(mins[i]), idx, i)
@@ -330,8 +358,9 @@ def geodesic_deviation(space: SpaceHandle, x, y, *, resolution: int = 256) -> fl
     ts = sample_params(resolution)
     d_xy = space.dist(x, y)
     pts = space.path(*space.coords(x, y), ts)
-    return max(float(np.max(np.abs(space.pairwise(pts[rows], pts)
-                                   - np.abs(ts[rows, None] - ts[None, :]) * d_xy)))
+    # both matrices are symmetric: the upper block triangle holds the maximum
+    return max(float(np.max(np.abs(space.pairwise(pts[rows], pts[rows.start:])
+                                   - np.abs(ts[rows, None] - ts[None, rows.start:]) * d_xy)))
                for rows in _row_blocks(len(ts), len(ts)))
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverDiverged
-from .stabmodel import KroneckerPoint, c_act, d_B_closed, random_region_vector
+from .stabmodel import KroneckerPoint, d_B_closed, random_region_vector
 
 
 def dprime(x, y) -> float:
@@ -220,10 +220,16 @@ def embed_q(x) -> KroneckerPoint:
 
 def kron_quot_closed(p: KroneckerPoint, q: KroneckerPoint) -> float:
     """Quotient distance between Kronecker points: the translation infimum
-    evaluated at the transported analytic minimizer (which attains it)."""
+    evaluated at the transported analytic minimizer (which attains it).
+
+    The translate of q is formed as ``c_act`` forms it and measured as
+    ``d_B_closed`` measures it, on plain coordinates: far from q its
+    width x3 - x1 may round to 0, and a ``KroneckerPoint`` would reject it.
+    """
     d = [a - b for a, b in zip(p.x, q.x)]
-    mu = complex(0.5 * (d[0] + d[2]), (d[1] + d[3]) / (2.0 * math.pi))
-    return d_B_closed(c_act(q, mu), p)
+    re = 0.5 * (d[0] + d[2])
+    im = math.pi * ((d[1] + d[3]) / (2.0 * math.pi))
+    return max(abs((b + s) - a) for a, b, s in zip(p.x, q.x, (re, im, re, im)))
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,15 @@ class TestQuotientDist:
         assert payload["closed_form"] == pytest.approx(0.2, abs=1e-12)
         assert payload["deviation"] <= 1e-6
 
+    def test_kronecker_far_apart(self, capsys):
+        # the translate of the second point lies where floats are 0.125
+        # apart, so its width 0.01 would round to 0
+        code, out, _ = run(capsys, "quotient-dist", "--model", "kronecker",
+                           "[1e15,0,1000000000000000.5,0]", "[0,0,0.01,0]")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["closed_form"] == payload["solver"] == 0.25
+
 
 class TestHN:
     def test_profile_shape(self, capsys):

@@ -56,6 +56,10 @@ def _check_cases() -> dict[str, list[str]]:
         cases[f"geodesic-{model}"] = [
             "geodesic-check", "--model", model,
             json.dumps(_embed(model, -0.7, 0.4)), json.dumps(_embed(model, 1.3, -0.25))]
+    # at 1024 samples a side the scanned row blocks are ragged: the block
+    # height does not divide the number of rows
+    for name in ("cat0-kronecker", "slim-quotient", "geodesic-r4"):
+        cases[f"{name}-r1024"] = cases[name] + ["--resolution", "1024"]
     return cases
 
 

@@ -3,9 +3,12 @@
 import json
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabmetric import metriclab
 from stabmetric.errors import (
@@ -13,6 +16,7 @@ from stabmetric.errors import (
     DegenerateBase,
     RejectNotAdditive,
     RejectOnGeodesic,
+    StabmetricError,
 )
 from stabmetric.metriclab import (
     c_orbit_space,
@@ -253,7 +257,7 @@ def _linear_handles():
         (r4_space(), lambda rng: tuple(rng.uniform(-3.0, 3.0, 4)), 0.0),
         (quotient_r4_space(), lambda rng: QuotPoint.from_vector(rng.uniform(-3.0, 3.0, 4)), 0.0),
         (kronecker_space(), random_region_point, 0.0),
-        # the closed form goes through c_act, so it is off by round-off
+        # the closed form translates before it subtracts, so it is off by round-off
         (kronecker_quotient_space(), random_region_point, 1e-12),
     ]
 
@@ -342,6 +346,98 @@ class TestRowBlocks:
         assert run() == whole
         monkeypatch.setattr(metriclab, "_BLOCK_CELLS", 1)  # one row per block
         assert run() == whole
+
+
+def full_cat0_scan(space, pts, carr):
+    """Reference for ``metriclab._cat0_scan``: the first maximum of the
+    whole violation matrix in row-major order."""
+    dmat = space.pairwise(pts, pts)
+    emat = np.abs(carr[:, None] - carr[None, :])
+    viol = dmat - emat
+    i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    return float(viol[i, j]), i, j, float(dmat[i, j]), float(emat[i, j])
+
+
+def six_matrix_slim_scan(space, sampled):
+    """Reference for ``metriclab._slim_scan``: each side against the other
+    two sides together, one matrix per side."""
+    return [space.pairwise(sampled[k], np.concatenate((sampled[(k + 1) % 3],
+                                                       sampled[(k + 2) % 3]))).min(axis=1)
+            for k in range(3)]
+
+
+def full_geodesic_deviation(space, x, y, resolution):
+    """Reference for ``geodesic_deviation``: the whole deviation matrix."""
+    ts = metriclab.sample_params(resolution)
+    pts = space.path(*space.coords(x, y), ts)
+    return float(np.max(np.abs(space.pairwise(pts, pts)
+                               - np.abs(ts[:, None] - ts[None, :]) * space.dist(x, y))))
+
+
+def _all_handles():
+    return [euclidean_plane()] + [space for space, _, _ in _linear_handles()]
+
+
+def _model_point(space, v):
+    """A point of the handle's model from four coordinates in [-3, 3]."""
+    a, b, c, d = v
+    if space.name in ("euclidean-plane", "c-orbit"):
+        return complex(a, b)
+    if space.name == "r4-sup":
+        return v
+    if space.name == "r4-quotient":
+        return QuotPoint.from_vector(v)
+    return KroneckerPoint((a, b, a + 0.05 + 0.9 * (c % 1.0), d))
+
+
+def _outcome(check):
+    """A check's result as JSON text, or the name of the rejection it raised."""
+    try:
+        return json.dumps(metriclab.as_jsonable(check()))
+    except StabmetricError as exc:  # both scans must reject alike
+        return type(exc).__name__
+
+
+# quarter-integer coordinates make many equal distances, so the first
+# maximum in scan order decides the witness
+_COORD = st.one_of(st.integers(-12, 12).map(lambda k: k / 4.0), st.floats(-3.0, 3.0))
+_VERTEX = st.tuples(_COORD, _COORD, _COORD, _COORD)
+
+
+class TestScanReferences:
+    """Each symmetric distance pair is scanned once; the certificates and
+    deviations are those of the full scans, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 5), st.integers(1, 64), st.tuples(_VERTEX, _VERTEX, _VERTEX),
+           st.sampled_from((1, 7 * 123, metriclab._BLOCK_CELLS)))
+    def test_half_scans_equal_full_scans(self, index, resolution, vertices, cells):
+        space = _all_handles()[index]
+        x, y, z = (_model_point(space, v) for v in vertices)
+
+        def run():
+            return (_outcome(lambda: cat0_check(space, x, y, z, resolution=resolution,
+                                                tol=-1.0)),
+                    _outcome(lambda: slim_check(space, x, y, z, 1e-3, resolution=resolution)))
+
+        with mock.patch.object(metriclab, "_BLOCK_CELLS", cells):
+            half = run()
+            deviation = _outcome(lambda: geodesic_deviation(space, x, z, resolution=resolution))
+        with mock.patch.object(metriclab, "_cat0_scan", full_cat0_scan), \
+                mock.patch.object(metriclab, "_slim_scan", six_matrix_slim_scan):
+            assert half == run()
+        assert deviation == _outcome(lambda: full_geodesic_deviation(space, x, z, resolution))
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_pairwise_is_exactly_symmetric(self, index):
+        space = _all_handles()[index]
+        rng = np.random.default_rng([index, 19])
+        a = space.coords(*(_model_point(space, tuple(rng.uniform(-3.0, 3.0, 4)))
+                           for _ in range(40)))
+        b = a[::-1].copy()
+        mat = space.pairwise(a, a)
+        assert np.array_equal(mat, mat.T)
+        assert np.array_equal(space.pairwise(a, b), space.pairwise(b, a).T)
 
 
 class TestAsJsonable:

@@ -1,6 +1,7 @@
 """Tests for the Kronecker model and the orbit metric."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,42 @@ from stabmetric.stabmodel import (
 )
 
 BASE = KroneckerPoint((0.5, 0.0, 1.0, 0.0))
+
+
+def class_by_class_supremum(p: KroneckerPoint, q: KroneckerPoint, K: int) -> float:
+    """Reference for ``d_B_sampled``: the supremum over the classes
+    k1 [S1] + k2 [S2] with multiplicities up to K, one HN profile per class
+    and point, and the log-mass of a mixed class summed in math."""
+    best = 0.0
+    for k1 in range(K + 1):
+        for k2 in range(K + 1):
+            if k1 == 0 and k2 == 0:
+                continue
+            cls = ObjectClass(k1, k2)
+            prof_p = hn_profile(p, cls)
+            prof_q = hn_profile(q, cls)
+            best = max(
+                best,
+                abs(prof_p.phi_plus - prof_q.phi_plus),
+                abs(prof_p.phi_minus - prof_q.phi_minus),
+                _log_mass_ratio(cls, p, q),
+            )
+    return best
+
+
+def _log_mass_ratio(c: ObjectClass, p: KroneckerPoint, q: KroneckerPoint) -> float:
+    if c.k2 == 0:
+        return abs(p.x[1] - q.x[1])
+    if c.k1 == 0:
+        return abs(p.x[3] - q.x[3])
+    return abs(_log_mass(c, p) - _log_mass(c, q))
+
+
+def _log_mass(c: ObjectClass, p: KroneckerPoint) -> float:
+    a = math.log(c.k1) + p.x[1]
+    b = math.log(c.k2) + p.x[3]
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
 
 
 class TestObjectClass:
@@ -175,6 +212,31 @@ class TestSampledOracle:
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):
             d_B_sampled(BASE, BASE, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6),
+           st.lists(st.floats(0.01, 0.99), min_size=2, max_size=2),
+           st.integers(1, 12))
+    def test_matches_class_by_class_reference(self, coords, gaps, K):
+        x1, x2, x4, y1, y2, y4 = coords
+        p = KroneckerPoint((x1, x2, x1 + gaps[0], x4))
+        q = KroneckerPoint((y1, y2, y1 + gaps[1], y4))
+        got, ref = d_B_sampled(p, q, K), class_by_class_supremum(p, q, K)
+        # A mixed class's log-mass difference is a weighted mean of dx2 and
+        # dx4 with weights above 3e-6 in this box, so it stays clear of the
+        # supremum unless dx2 and dx4 nearly tie; there numpy's exp and
+        # log1p may round an ulp away from math's.
+        if abs((x2 - y2) - (x4 - y4)) > 1e-6:
+            assert got == ref
+        else:
+            assert abs(got - ref) <= 1e-14
+
+    def test_single_class_cap_warns_nothing(self):
+        p = KroneckerPoint((0.2, 0.0, 0.5, 0.3))
+        q = KroneckerPoint((0.3, -0.1, 0.9, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert d_B_sampled(p, q, 1) == class_by_class_supremum(p, q, 1) == 0.4
 
 
 class TestCAct:
