@@ -85,7 +85,18 @@ def _parse_point(model: str, text: str, what: str):
     return MODELS[model][0](_parse_json(text, what), what)
 
 
-def _space(model: str) -> metriclab.SpaceHandle:
+def _arrow_count(points) -> int:
+    """The arrow count l that the Kronecker points share."""
+    counts = sorted({p.l for p in points})
+    if len(counts) != 1:
+        raise ValueError(f"Kronecker points disagree on the arrow count l: {counts}")
+    return counts[0]
+
+
+def _space(model: str, points) -> metriclab.SpaceHandle:
+    """The model's handle; Kronecker witnesses take the points' arrow count."""
+    if model == "kronecker":
+        return metriclab.kronecker_space(_arrow_count(points))
     return MODELS[model][1]()
 
 
@@ -129,7 +140,7 @@ def _cmd_dist(args) -> int:
     if args.model == "poincare":
         d = dynamics.poincare_distance(p, q)
     else:
-        d = _space(args.model).dist(p, q)
+        d = _space(args.model, (p, q)).dist(p, q)
     payload = {"model": args.model, "distance": d}
     if args.model == "kronecker":
         oracle = stabmodel.d_B_sampled(p, q, ORACLE_CLASS_CAP)
@@ -149,6 +160,7 @@ def _cmd_quotient_dist(args) -> int:
         numeric = float(quotient.quot_dist_pairs([x], [y])[0])
         mini = quotient.quot_minimizer(x, y)
     else:  # argparse limits --model to r4 and kronecker
+        _arrow_count((x, y))
         closed = quotient.kron_quot_closed(x, y)
         numeric = float(quotient.quot_dist_pairs([x.x], [y.x], math.pi)[0])
         mini = None
@@ -188,8 +200,8 @@ def _triangle(args):
 
 
 def _cmd_cat0(args) -> int:
-    space = _space(args.model)
     x, y, z = _triangle(args)
+    space = _space(args.model, (x, y, z))
     cert = metriclab.cat0_check(space, x, y, z, resolution=args.resolution,
                                 tol=args.tol, seed=_seed(args))
     if cert is None:
@@ -200,8 +212,8 @@ def _cmd_cat0(args) -> int:
 
 
 def _cmd_slim(args) -> int:
-    space = _space(args.model)
     x, y, z = _triangle(args)
+    space = _space(args.model, (x, y, z))
     cert = metriclab.slim_check(space, x, y, z, args.delta,
                                 resolution=args.resolution, seed=_seed(args))
     if cert is None:
@@ -212,10 +224,10 @@ def _cmd_slim(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
-    space = _space(args.model)
     x = _parse_point(args.model, args.p, "first point")
     y = _parse_point(args.model, args.q, "second point")
-    dev = metriclab.geodesic_deviation(space, x, y, resolution=args.resolution)
+    dev = metriclab.geodesic_deviation(_space(args.model, (x, y)), x, y,
+                                       resolution=args.resolution)
     _emit({"model": args.model, "deviation": dev, "resolution": args.resolution}, args)
     return 0
 

@@ -447,11 +447,12 @@ def quotient_r4_space() -> SpaceHandle:
                             encode=attrgetter("rep"), decode=QuotPoint)
 
 
-def kronecker_space() -> SpaceHandle:
-    """Kronecker strip with the closed-form Bridgeland metric; straight
-    coordinate lines are geodesics and stay inside the strip."""
+def kronecker_space(l: int = 3) -> SpaceHandle:
+    """Strip of the l-Kronecker quiver with the closed-form Bridgeland
+    metric; straight coordinate lines are geodesics and stay inside the
+    strip.  Witnesses are decoded as points with arrow count l."""
     return linear_sup_space("kronecker", d_B_closed, _I4, 1.0, encode=attrgetter("x"),
-                            decode=KroneckerPoint)
+                            decode=lambda x: KroneckerPoint(x, l))
 
 
 def kronecker_quotient_space() -> SpaceHandle:

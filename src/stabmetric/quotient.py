@@ -10,7 +10,8 @@ equals
 
 The numerical solver checks that closed form from the definition: it
 minimizes the sup distance over the action parameter with a coarse grid
-and a pattern search.  ``quot_dist_pairs`` runs it on P pairs of
+and a pattern search, which moves to the best of eight directions or
+halves its step.  ``quot_dist_pairs`` runs it on P pairs of
 coordinate rows at once, as array operations; ``quot_dist_inf`` runs the
 same search on one pair through black-box distance and action callables.
 
@@ -64,12 +65,11 @@ class QuotPoint:
 
 
 def quot_dist_closed(xbar: QuotPoint, ybar: QuotPoint) -> float:
-    """Closed-form quotient distance between orbits."""
-    d1 = ybar.rep[0] - xbar.rep[0]
-    d2 = ybar.rep[1] - xbar.rep[1]
+    """Closed-form quotient distance between orbits; the canonical
+    representatives have d1 = d2 = 0."""
     d3 = ybar.rep[2] - xbar.rep[2]
     d4 = ybar.rep[3] - xbar.rep[3]
-    return max(abs(d1 - d3), abs(d2 - d4)) / 2.0
+    return max(abs(d3), abs(d4)) / 2.0
 
 
 def quot_minimizer(x, y) -> complex:
@@ -83,7 +83,7 @@ _DU = np.array([du for du, _ in _DIRECTIONS], dtype=float)
 _DV = np.array([dv for _, dv in _DIRECTIONS], dtype=float)
 _GRID = 33  # coarse-grid points per axis
 _TOL = 1e-9  # how far the descent may end above the coarse-grid minimum
-_MAX_ITER = 200
+_MAX_STEPS = 1600  # descent steps: a box 1e308 wide needs about 1070 halvings
 _STEP_FLOOR = 1e-13
 _BLOCK_CELLS = 1 << 16  # grid cells evaluated per array op
 
@@ -98,11 +98,11 @@ def _pattern_search(objective, box: np.ndarray) -> np.ndarray:
     half-width ``box[p]`` seeds an eight-direction pattern search with
     halving steps, which cannot be trapped away from the minimum of such
     objectives.  The grid is evaluated in blocks of about _BLOCK_CELLS
-    cells.  Each descent step evaluates all eight directions of every
-    unfinished problem; a per-problem pointer keeps the rule of a sweep
-    through _DIRECTIONS in order, which moves at each improvement and goes
-    on from the new point, so the values are those of one problem at a
-    time.
+    cells.  Each descent step evaluates the eight directions of every
+    unfinished problem in one objective call and moves the problem to the
+    first of _DIRECTIONS with the least value if that is below its
+    current value, else halves its step.  A problem ends when its step
+    falls to _STEP_FLOOR, and every problem after _MAX_STEPS steps.
     """
     n = box.shape[0]
     best = objective(np.arange(n), np.zeros((n, 1)), np.zeros((n, 1)))[:, 0]
@@ -125,43 +125,27 @@ def _pattern_search(objective, box: np.ndarray) -> np.ndarray:
         best[rows] = np.where(better, low, best[rows])
     grid_best = best.copy()
 
-    # the descent state of the unfinished problems `live`: the current
-    # point (u0, v0) and its value val0, the step h, and the sweep counters
-    live = pos = np.arange(n)
-    val0 = best.copy()
+    # the descent of the unfinished problems `live` from their points
+    # (u0, v0) with steps h; an overflowing box gives an infinite step,
+    # which halving never shrinks, so it ends the descent at once
+    live = np.arange(n)
     h = 2.0 * box / (_GRID - 1)
-    iterations = np.zeros(n, dtype=int)
-    pointer = np.zeros(n, dtype=int)  # next direction of the current sweep
-    moved = np.zeros(n, dtype=bool)
-    sweep = len(_DIRECTIONS)
-    order = np.arange(sweep)
-    while True:
-        opening = pointer == 0
-        ended = opening & ~((h > _STEP_FLOOR) & (iterations < _MAX_ITER))
-        if ended.any():
-            best[live[ended]] = val0[ended]
-            keep = ~ended
-            live, u0, v0, val0, h, iterations, pointer, moved, opening = (
-                a[keep] for a in (live, u0, v0, val0, h, iterations, pointer, moved, opening))
-            pos = np.arange(live.size)
+    for _ in range(_MAX_STEPS):
+        keep = np.isfinite(h) & (h > _STEP_FLOOR)
+        live, u0, v0, h = live[keep], u0[keep], v0[keep], h[keep]
         if not live.size:
             break
-        iterations += opening
-        moved &= ~opening
         u = u0[:, None] + h[:, None] * _DU
         v = v0[:, None] + h[:, None] * _DV
         vals = objective(live, u, v)
-        improving = (vals < val0[:, None]) & (order >= pointer[:, None])
-        k = improving.argmax(axis=1)  # first improving direction, if any
-        hit = improving[pos, k]
+        pos = np.arange(live.size)
+        k = vals.argmin(axis=1)  # the first best direction
+        low = vals[pos, k]
+        hit = low < best[live]
+        best[live[hit]] = low[hit]
         u0 = np.where(hit, u[pos, k], u0)
         v0 = np.where(hit, v[pos, k], v0)
-        val0 = np.where(hit, vals[pos, k], val0)
-        moved |= hit
-        pointer = np.where(hit, k + 1, sweep)
-        swept = pointer == sweep
-        h = np.where(swept & ~moved, 0.5 * h, h)
-        pointer[swept] = 0
+        h = np.where(hit, h, 0.5 * h)
     if np.any(best > grid_best + _TOL):
         raise SolverDiverged("descent ended above the coarse-grid minimum")
     return best

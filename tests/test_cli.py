@@ -394,6 +394,44 @@ class TestRegionBoundary:
         assert json.loads(err)["error"] == "OutsideRegion"
 
 
+class TestArrowCount:
+    """The arrow count l of Kronecker points carries over to the
+    witnesses, and points that disagree on it are rejected."""
+
+    VERTICES = [[0, 0, 0.5, 0], [2, 0, 2.5, 0], [1, 1, 1.5, 1]]
+
+    @pytest.mark.parametrize("argv, witnesses", [
+        (("cat0-check", "--model", "kronecker", "--resolution", "16"), ["p", "q"]),
+        (("slim-check", "--model", "kronecker", "--resolution", "16", "--delta", "0.1"),
+         ["point"]),
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+    def test_witnesses_keep_l(self, capsys, argv, witnesses):
+        vertices = [{"x": x, "l": 5} for x in self.VERTICES]
+        code, out, _ = run(capsys, *argv, "--vertices", json.dumps(vertices))
+        cert = json.loads(out)["certificate"]
+        assert code == 0
+        assert [v["l"] for v in cert["vertices"]] == [5, 5, 5]
+        assert [cert["witness"][w]["l"] for w in witnesses] == [5] * len(witnesses)
+
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--model", "kronecker", "P", "Q"),
+        ("quotient-dist", "--model", "kronecker", "P", "Q"),
+        ("cat0-check", "--model", "kronecker", "--resolution", "16", "--vertices", "TRIANGLE"),
+        ("slim-check", "--model", "kronecker", "--resolution", "16", "--delta", "0.5",
+         "--vertices", "TRIANGLE"),
+        ("geodesic-check", "--model", "kronecker", "--resolution", "16", "P", "Q"),
+    ], ids=lambda argv: argv[0])
+    def test_disagreeing_points_rejected(self, capsys, argv):
+        p, q, r = ({"x": x, "l": l} for x, l in zip(self.VERTICES, (3, 4, 3)))
+        slots = {"P": p, "Q": q, "TRIANGLE": [p, r, q]}
+        code, out, err = run(capsys, *(json.dumps(slots[a]) if a in slots else a for a in argv))
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        assert "arrow count" in payload["message"]
+
+
 class TestInputBoundary:
     def error(self, capsys, *argv):
         code, out, err = run(capsys, *argv)

@@ -83,6 +83,14 @@ CASES: dict[str, list[str]] = {
     "readme-mass-growth": ["mass-growth", "-n", "200", "--format", "csv"],
     "readme-embed-check": ["embed-check", "-n", "100"],
     "readme-sweep": ["sweep", "--kind", "slim-grid", "--deltas", "1,2,4,8"],
+    # the quotient solver's descent: a value it leaves above the closed
+    # form, an exact tie of the two halves, a pair near the float range,
+    # and a Kronecker pair
+    "quotient-dist-offset": ["quotient-dist", "[0,0.25,1,1.25]", "[0,0,0.5,0]"],
+    "quotient-dist-tie": ["quotient-dist", "[0,0,1,1]", "[0,0,0,0]"],
+    "quotient-dist-1e200": ["quotient-dist", "[1e200,3e199,-2e199,5e199]", "[0,0,0,0]"],
+    "quotient-dist-kronecker": ["quotient-dist", "--model", "kronecker",
+                                "[0,0,0.5,0]", "[0,0.5,0.5,0.5]"],
     **_check_cases(),
 }
 

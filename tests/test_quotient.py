@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabmetric import quotient
 from stabmetric.errors import OutsideRegion, SolverDiverged
@@ -22,6 +24,7 @@ from stabmetric.quotient import (
     r4_act,
 )
 from stabmetric.stabmodel import (
+    KroneckerPoint,
     ObjectClass,
     c_act,
     central_charge,
@@ -151,9 +154,11 @@ def strip_pairs(n, seed):
     return [(random_region_point(rng), random_region_point(rng)) for _ in range(n)]
 
 
-def looped_quot_dist_inf(dist, sigma, tau, act) -> float:
-    """Reference for the solver: the grid and the pattern search as plain
-    loops over one pair, one objective call per point."""
+def looped_quot_dist_inf(dist, sigma, tau, act, sweeps=200) -> float:
+    """Reference for the solver: the grid and a first-improvement pattern
+    search as plain loops over one pair, one objective call per point.
+    A sweep tries _DIRECTIONS in order, moves at each improvement and goes
+    on from the new point; at most ``sweeps`` sweeps run."""
 
     def f(u, v):
         return dist(sigma, act(tau, complex(u, v)))
@@ -169,7 +174,7 @@ def looped_quot_dist_inf(dist, sigma, tau, act) -> float:
                 best, best_u, best_v = val, u, v
     h = 2.0 * box / (grid - 1)
     iterations = 0
-    while h > quotient._STEP_FLOOR and iterations < quotient._MAX_ITER:
+    while h > quotient._STEP_FLOOR and iterations < sweeps:
         iterations += 1
         moved = False
         for du, dv in quotient._DIRECTIONS:
@@ -181,6 +186,85 @@ def looped_quot_dist_inf(dist, sigma, tau, act) -> float:
         if not moved:
             h *= 0.5
     return best
+
+
+_HALVES = st.integers(-8, 8).map(lambda k: k / 2.0)
+_HALF_VECS = st.tuples(_HALVES, _HALVES, _HALVES, _HALVES)
+
+
+@st.composite
+def tied_pairs(draw):
+    """R^4 pairs on a half-integer grid whose closed form is an exact tie,
+    |d1 - d3| = |d2 - d4| for the differences d = sigma - tau."""
+    tau = draw(_HALF_VECS)
+    d1, d2, d3 = draw(_HALVES), draw(_HALVES), draw(_HALVES)
+    d4 = d2 - draw(st.sampled_from((1.0, -1.0))) * (d1 - d3)
+    return tuple(t + d for t, d in zip(tau, (d1, d2, d3, d4))), tau
+
+
+_STRIP_POINTS = st.builds(
+    lambda x1, x2, gap, x4: KroneckerPoint((x1, x2, x1 + gap, x4)),
+    st.floats(-2.0, 2.0), st.floats(-1.5, 1.5), st.floats(0.01, 0.99), st.floats(-1.5, 1.5))
+
+
+@st.composite
+def scaled_pairs(draw):
+    """R^4 pairs of entries in [-1, 1], each either times one power of ten
+    up to 1e300 or not: the scales within a pair may differ by 1e300."""
+    scale = 10.0 ** draw(st.integers(-6, 300))
+    return tuple(tuple(draw(st.floats(-1.0, 1.0)) * draw(st.sampled_from((scale, 1.0)))
+                       for _ in range(4)) for _ in range(2))
+
+
+def looped_to_the_floor(dist, sigma, tau, act) -> float:
+    """The looped reference with as many sweeps as the solver has steps,
+    so that neither cap ends a descent the other goes on with."""
+    return looped_quot_dist_inf(dist, sigma, tau, act, sweeps=quotient._MAX_STEPS)
+
+
+class TestDescentRule:
+    """The solver moves to the first best of its eight directions; the
+    looped reference sweeps them and moves at the first improvement.  On
+    these objectives the two rules reach the same value bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.tuples(_HALF_VECS, _HALF_VECS), tied_pairs()))
+    def test_tie_heavy_pairs(self, pair):
+        x, y = pair
+        assert quot_dist_pairs([x], [y])[0] == looped_to_the_floor(dprime, x, y, r4_act)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_STRIP_POINTS, _STRIP_POINTS)
+    def test_strip_pairs(self, p, q):
+        assert quot_dist_pairs([p.x], [q.x], math.pi)[0] == looped_to_the_floor(
+            d_B_closed, p, q, c_act)
+
+    @settings(max_examples=50, deadline=None)
+    @given(scaled_pairs())
+    def test_scaled_pairs(self, pair):
+        x, y = pair
+        assert quot_dist_pairs([x], [y])[0] == looped_to_the_floor(dprime, x, y, r4_act)
+
+    def test_long_descent_reaches_the_closed_form(self):
+        # the grid hits v = 1e200 exactly, and the u-part then waits some
+        # 660 halvings for a step near 1: 200 sweeps stop at 1.0
+        x, y = (0.0, 1e200, 1.0, 1e200), (0.0, 0.0, 0.0, 0.0)
+        assert looped_quot_dist_inf(dprime, x, y, r4_act) == 1.0
+        assert quot_dist_pairs([x], [y])[0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_overflowing_pair_stops_at_once(self):
+        calls = 0
+
+        def counted(x, y):
+            nonlocal calls
+            calls += 1
+            return dprime(x, y)
+
+        # sigma - tau overflows, so the box and the step are infinite
+        assert quot_dist_inf(counted, (1e308, 0.0, 0.0, 0.0), (-1e308, 0.0, 0.0, 0.0),
+                             r4_act) == math.inf
+        # the box, the seed point, the grid, and at most one step
+        assert calls <= 2 + quotient._GRID ** 2 + len(quotient._DIRECTIONS)
 
 
 class TestBatchedSolver:
