@@ -40,6 +40,8 @@ def _parse_json(text: str, what: str):
         return json.loads(text, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON for {what}: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"invalid JSON for {what}: nested too deeply") from None
 
 
 def _parse_complex(data, what: str) -> complex:
@@ -112,6 +114,13 @@ def _emit_csv(header: list[str], rows: list[list], args) -> None:
     for row in rows:
         writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
     _write(buf.getvalue(), args)
+
+
+def _check_out(args) -> None:
+    """Reject an --out that names no file in an existing directory before any work starts."""
+    out = getattr(args, "out", None)
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        raise OSError(f"--out {out!r} names no file in an existing directory")
 
 
 def _write(text: str, args) -> None:
@@ -426,8 +435,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args)
         return args.func(args)
-    except (StabmetricError, ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (StabmetricError, ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 2

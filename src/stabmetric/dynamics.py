@@ -29,6 +29,8 @@ from .errors import (
 )
 from .lin2 import CoveredMap, Mat2, _with_lift_value, operator_norm, real_number, sup_displacement
 
+MAX_ITERATES = 100_000  # mass_growth_estimate's n; a mass-growth report is then about 2.4 MB
+
 
 @dataclass(frozen=True)
 class Autoeq:
@@ -152,8 +154,8 @@ def mass_growth_estimate(m: Mat2, seed: MassSeed, n: int) -> list[float]:
     so the iteration cannot overflow; for generic seeds the sequence
     converges to the log of the spectral radius.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    if not 1 <= n <= MAX_ITERATES:
+        raise ValueError(f"n must be in 1..{MAX_ITERATES}, got {n!r}")
     norms = [math.hypot(*v) for v in seed.vectors]
     logs = [math.log(s) for s in norms]
     units = [(v[0] / s, v[1] / s) for v, s in zip(seed.vectors, norms)]

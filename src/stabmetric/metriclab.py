@@ -44,6 +44,7 @@ _SIDE_NAMES = ("xy", "yz", "zx")
 _BLOCK_CELLS = 1 << 16  # cells per scanned row block; 512 KiB of floats stays in cache
 _ADDITIVITY_TOL = 1e-12  # non-unique geodesic: |d(x,z) + d(z,y) - d(x,y)| bound
 _CLEARANCE_TOL = 1e-9  # non-unique geodesic: least distance of z from [x, y]
+MAX_RESOLUTION = 8192  # 4x the largest benchmarked resolution; cat0_check takes seconds here
 
 
 def straight_path(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -140,8 +141,8 @@ def comparison_triangle(a: float, b: float, c: float):
 def sample_params(resolution: int) -> np.ndarray:
     """The parameters i / resolution, i = 0..resolution, at which the
     checkers sample a side."""
-    if resolution < 1:
-        raise ValueError(f"resolution must be at least 1, got {resolution!r}")
+    if not 1 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be in 1..{MAX_RESOLUTION}, got {resolution!r}")
     return np.arange(resolution + 1) / resolution
 
 

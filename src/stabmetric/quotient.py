@@ -86,6 +86,7 @@ _TOL = 1e-9  # how far the descent may end above the coarse-grid minimum
 _MAX_STEPS = 1600  # descent steps: a box 1e308 wide needs about 1070 halvings
 _STEP_FLOOR = 1e-13
 _BLOCK_CELLS = 1 << 16  # grid cells evaluated per array op
+MAX_SAMPLES = 100_000  # iter_isometry_samples' n; embed-check takes seconds here
 
 
 def _pattern_search(objective, box: np.ndarray) -> np.ndarray:
@@ -226,8 +227,8 @@ class IsometryReport:
 
 def iter_isometry_samples(n: int, seed: int = 0):
     """Yield per-pair deviations (metric, quotient) for n random strip pairs."""
-    if n < 0:
-        raise ValueError(f"sample count must be nonnegative, got {n!r}")
+    if not 0 <= n <= MAX_SAMPLES:
+        raise ValueError(f"sample count must be in 0..{MAX_SAMPLES}, got {n!r}")
     rng = np.random.default_rng(seed)
     for _ in range(n):
         x = random_region_vector(rng)

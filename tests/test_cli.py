@@ -3,10 +3,13 @@
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from stabmetric import dynamics, metriclab, quotient
 from stabmetric.cli import main
 from stabmetric.fixtures import FIXTURES
 
@@ -181,9 +184,6 @@ class TestMassGrowthAndSweeps:
         assert out == "index,metric_deviation,quotient_deviation\n"
 
     def test_unknown_kind_rejected(self, capsys):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "stabmetric.cli", "sweep", "--kind", "bogus"],
             capture_output=True, text=True,
@@ -610,3 +610,57 @@ class TestInputBoundary:
         with pytest.raises(SystemExit) as exc:
             main(["quotient-dist", "--grid", "5", "[0.2,0,0.4,0]", "[0.2,0,0.8,0]"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("cat0-check", "--model", "corbit", "--vertices", "[[0,0],[2,0],[1,0.3]]"),
+        ("slim-check", "--model", "corbit", "--delta", "1",
+         "--vertices", "[[0,0],[4,0],[0,1.3]]"),
+        ("geodesic-check", "--model", "corbit", "[0,0]", "[1,0.5]"),
+        ("sweep", "--kind", "slim-grid"),
+        ("fixtures",),
+    ])
+    def test_resolution_above_bound(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("stabmetric.fixtures.build_fixture",
+                            lambda *args: pytest.fail("a fixture ran"))
+        payload = self.error(capsys, *argv, "--resolution", str(metriclab.MAX_RESOLUTION + 1))
+        assert payload["message"] == "resolution must be in 1..8192, got 8193"
+
+    @pytest.mark.parametrize("argv, bound, message", [
+        (("mass-growth",), dynamics.MAX_ITERATES, "n must be in 1..100000, got 100001"),
+        (("embed-check",), quotient.MAX_SAMPLES,
+         "sample count must be in 0..100000, got 100001"),
+        (("sweep", "--kind", "isometry-samples"), quotient.MAX_SAMPLES,
+         "sample count must be in 0..100000, got 100001"),
+    ])
+    def test_count_above_bound(self, capsys, monkeypatch, argv, bound, message):
+        for name in ("stabmetric.dynamics._logsumexp", "stabmetric.quotient.random_region_vector"):
+            monkeypatch.setattr(name, lambda *args: pytest.fail("work started"))
+        payload = self.error(capsys, *argv, "-n", str(bound + 1))
+        assert payload == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("argv", [("pa", "--matrix", "[[2,1],[1,1]]"), ("fixtures",)])
+    @pytest.mark.parametrize("missing_parent", [True, False])
+    def test_unwritable_out(self, capsys, monkeypatch, tmp_path, argv, missing_parent):
+        # exit 2, not fixtures' exit 1 for a failed fixture, and before any work
+        monkeypatch.setattr("stabmetric.fixtures.build_fixture",
+                            lambda *args: pytest.fail("a fixture ran"))
+        out = tmp_path / "missing" / "x.json" if missing_parent else tmp_path
+        payload = self.error(capsys, *argv, "--out", str(out))
+        assert payload["error"] == "OSError"
+        assert "names no file in an existing directory" in payload["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_deeply_nested_json(self, capsys):
+        nested = "[" * 20000 + "]" * 20000
+        payload = self.error(capsys, "dist", "--model", "corbit", nested, "0")
+        assert payload == {"error": "ValueError",
+                           "message": "invalid JSON for first point: nested too deeply"}
+
+
+class TestPackageRoot:
+    def test_import_loads_no_submodule_and_no_numpy(self):
+        probe = ("import sys, stabmetric; print(sorted(m for m in sys.modules "
+                 "if m == 'numpy' or m.startswith('stabmetric.')))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
