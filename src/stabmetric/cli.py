@@ -3,7 +3,9 @@
 Every subcommand prints a machine-readable report (JSON by default, CSV
 for sweeps) built only from the inputs and the seed, so fixed arguments
 produce byte-identical output; wall-clock timings are kept out of the
-reports and shown on stderr only when asked for.
+reports and shown on stderr only when asked for.  Only the commands
+that evaluate arrays import the array modules, so `pa`, `mass-growth`
+and `dist --model poincare` start without numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 import time
 
-from . import dynamics, fixtures, metriclab, quotient, stabmodel
+from . import dynamics
 from .errors import StabmetricError
 from .lin2 import Mat2, real_number
 
@@ -58,33 +60,35 @@ def _parse_vec4(data, what: str):
     raise ValueError(f"{what} must be a list of four numbers")
 
 
-def _parse_kronecker(data, what: str) -> stabmodel.KroneckerPoint:
+def _parse_kronecker(data, what: str):
+    from . import stabmodel
     if isinstance(data, dict):
         return stabmodel.KroneckerPoint.from_dict(data)
     return stabmodel.KroneckerPoint(_parse_vec4(data, what))
 
 
-def _parse_quotient(data, what: str) -> quotient.QuotPoint:
+def _parse_quotient(data, what: str):
+    from . import quotient
     if isinstance(data, dict):
         return quotient.QuotPoint(_parse_vec4(data["rep"], what))
     return quotient.QuotPoint.from_vector(_parse_vec4(data, what))
 
 
-# Every model the commands accept: its point parser (JSON data -> point)
-# and, for the metric-space checks, its metriclab handle factory.
+# Every model the commands accept and its point parser (JSON data -> point);
+# all but poincare have a metriclab handle for the metric-space checks.
 MODELS = {
-    "euclidean": (_parse_complex, metriclab.euclidean_plane),
-    "corbit": (_parse_complex, metriclab.c_orbit_space),
-    "r4": (_parse_vec4, metriclab.r4_space),
-    "quotient": (_parse_quotient, metriclab.quotient_r4_space),
-    "kronecker": (_parse_kronecker, metriclab.kronecker_space),
-    "poincare": (_parse_complex, None),
+    "euclidean": _parse_complex,
+    "corbit": _parse_complex,
+    "r4": _parse_vec4,
+    "quotient": _parse_quotient,
+    "kronecker": _parse_kronecker,
+    "poincare": _parse_complex,
 }
-SPACE_MODELS = tuple(m for m, (_, space) in MODELS.items() if space is not None)
+SPACE_MODELS = tuple(m for m in MODELS if m != "poincare")
 
 
 def _parse_point(model: str, text: str, what: str):
-    return MODELS[model][0](_parse_json(text, what), what)
+    return MODELS[model](_parse_json(text, what), what)
 
 
 def _arrow_count(points) -> int:
@@ -95,11 +99,18 @@ def _arrow_count(points) -> int:
     return counts[0]
 
 
-def _space(model: str, points) -> metriclab.SpaceHandle:
-    """The model's handle; Kronecker witnesses take the points' arrow count."""
+def _space(model: str, points):
+    """The model's metriclab handle; Kronecker witnesses take the points' arrow count."""
+    from . import metriclab
     if model == "kronecker":
         return metriclab.kronecker_space(_arrow_count(points))
-    return MODELS[model][1]()
+    factories = {
+        "euclidean": metriclab.euclidean_plane,
+        "corbit": metriclab.c_orbit_space,
+        "r4": metriclab.r4_space,
+        "quotient": metriclab.quotient_r4_space,
+    }
+    return factories[model]()
 
 
 def _emit(payload, args) -> None:
@@ -152,6 +163,7 @@ def _cmd_dist(args) -> int:
         d = _space(args.model, (p, q)).dist(p, q)
     payload = {"model": args.model, "distance": d}
     if args.model == "kronecker":
+        from . import stabmodel
         oracle = stabmodel.d_B_sampled(p, q, ORACLE_CLASS_CAP)
         payload["oracle"] = {"sampled_supremum": oracle, "class_cap": ORACLE_CLASS_CAP,
                              "deviation": abs(d - oracle)}
@@ -160,6 +172,7 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_quotient_dist(args) -> int:
+    from . import quotient
     x = _parse_point(args.model, args.p, "first point")
     y = _parse_point(args.model, args.q, "second point")
     if args.model == "r4":
@@ -186,6 +199,7 @@ def _cmd_quotient_dist(args) -> int:
 
 
 def _cmd_hn(args) -> int:
+    from . import metriclab, stabmodel
     point = _parse_point("kronecker", args.point, "point")
     cls = stabmodel.ObjectClass.from_dict(_parse_json(args.object_class, "object class"))
     profile = stabmodel.hn_profile(point, cls)
@@ -204,11 +218,12 @@ def _triangle(args):
     data = _parse_json(args.vertices, "vertices")
     if not isinstance(data, list) or len(data) != 3:
         raise ValueError("vertices must be a JSON list of three points")
-    parse = MODELS[args.model][0]
+    parse = MODELS[args.model]
     return [parse(v, "vertex") for v in data]
 
 
 def _cmd_cat0(args) -> int:
+    from . import metriclab
     x, y, z = _triangle(args)
     space = _space(args.model, (x, y, z))
     cert = metriclab.cat0_check(space, x, y, z, resolution=args.resolution,
@@ -221,6 +236,7 @@ def _cmd_cat0(args) -> int:
 
 
 def _cmd_slim(args) -> int:
+    from . import metriclab
     x, y, z = _triangle(args)
     space = _space(args.model, (x, y, z))
     cert = metriclab.slim_check(space, x, y, z, args.delta,
@@ -233,6 +249,7 @@ def _cmd_slim(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    from . import metriclab
     x = _parse_point(args.model, args.p, "first point")
     y = _parse_point(args.model, args.q, "second point")
     dev = metriclab.geodesic_deviation(_space(args.model, (x, y)), x, y,
@@ -275,12 +292,14 @@ def _cmd_mass_growth(args) -> int:
 
 
 def _cmd_embed_check(args) -> int:
+    from . import metriclab, quotient
     report = quotient.isometry_report(args.n, seed=_seed(args))
     _emit(metriclab.as_jsonable(report), args)
     return 0
 
 
 def _cmd_fixtures(args) -> int:
+    from . import fixtures, metriclab
     seed = _seed(args)
     metriclab.sample_params(args.resolution)  # reject a bad resolution before any fixture runs
     ids = fixtures.fixture_ids(args.filter)
@@ -309,6 +328,7 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import metriclab, quotient
     seed = _seed(args)
     if args.kind == "slim-grid":
         space = metriclab.c_orbit_space()

@@ -18,8 +18,6 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import (
     MissingMatrix,
     NonPositiveDeterminant,
@@ -30,6 +28,9 @@ from .errors import (
 from .lin2 import CoveredMap, Mat2, _with_lift_value, operator_norm, real_number, sup_displacement
 
 MAX_ITERATES = 100_000  # mass_growth_estimate's n; a mass-growth report is then about 2.4 MB
+# trace^2 - 4.0 overflows a float from just under |trace| = 2**512; from this
+# |trace| on, the stretch factor is |trace| to a relative 1/trace^2, below rounding.
+HUGE_TRACE = 1 << 511
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,8 @@ def stretch_factor(f: Autoeq) -> float:
     tr = abs(f.trace)
     if tr <= 2:
         raise NotPseudoAnosov(f"|trace| = {tr} is not > 2")
+    if tr >= HUGE_TRACE:
+        return float(tr)
     return 0.5 * (tr + math.sqrt(tr * tr - 4.0))
 
 
@@ -245,9 +248,10 @@ def _mobius_parts(f: Autoeq, x, y):
     return re / den, det * y / den
 
 
-def displacement_grid(f: Autoeq, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def displacement_grid(f: Autoeq, x, y):
     """poincare_distance(z, mobius_apply(f, z)) at every z = x + iy of the
-    arrays x and y > 0, in one array evaluation of the same formulas."""
+    numpy arrays x and y > 0, in one array evaluation of the same formulas."""
+    import numpy as np
     fx, fy = _mobius_parts(f, x, y)
     return _half_plane_distance(np.hypot(x - fx, y - fy), y, fy, np.arccosh)
 
@@ -383,20 +387,22 @@ PA_TABLE: tuple[tuple[Autoeq, str], ...] = (
 
 def random_unimodular_hyperbolic(rng) -> Autoeq:
     """Random hyperbolic element of SL(2, Z), built as a word in the two
-    elementary shears (so the trace is at least 3), with a random sign."""
-    lower = Autoeq(1, 0, 1, 1)
-    upper = Autoeq(1, 1, 0, 1)
+    elementary shears (so the trace is at least 3), with a random sign.
+    The word is multiplied out on plain ints, one shear power at a time."""
     while True:
-        m = Autoeq(1, 0, 0, 1)
+        a, b, c, d = 1, 0, 0, 1
         used = [False, False]
         for _ in range(int(rng.integers(2, 5))):
             pick = int(rng.integers(0, 2))
             used[pick] = True
-            step = (lower if pick == 0 else upper).power(int(rng.integers(1, 3)))
-            m = m @ step
+            k = int(rng.integers(1, 3))
+            if pick == 0:  # times the lower shear (1, 0, k, 1)
+                a, c = a + k * b, c + k * d
+            else:  # times the upper shear (1, k, 0, 1)
+                b, d = b + k * a, d + k * c
         if not (used[0] and used[1]):
             continue
         if rng.random() < 0.5:
-            m = Autoeq(-m.a, -m.b, -m.c, -m.d)
-        if abs(m.trace) > 2:
-            return m
+            a, b, c, d = -a, -b, -c, -d
+        if abs(a + d) > 2:
+            return Autoeq(a, b, c, d)

@@ -144,6 +144,15 @@ class TestPA:
         payload = json.loads(out)
         assert payload["pseudo_anosov_exists"] is False
 
+    def test_huge_trace(self, capsys):
+        big = 10**160
+        code, out, _ = run(capsys, "pa", "--matrix", f"[[{big + 1},{big}],[1,1]]")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["classification"]["trace"] == big + 2
+        assert payload["stretch_factor"] == float(big + 2)
+        assert payload["translation_length"] == payload["entropy"] == math.log(float(big + 2))
+
     def test_not_unimodular_error(self, capsys):
         code, _, err = run(capsys, "pa", "--matrix", "[[2,0],[0,2]]")
         assert code != 0
@@ -664,3 +673,18 @@ class TestPackageRoot:
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_scalar_commands_load_no_numpy(self):
+        probe = "\n".join([
+            "import sys",
+            "from stabmetric.cli import build_parser, main",
+            "build_parser()",
+            "for argv in (['pa', '--matrix', '[[2,1],[1,1]]'], ['pa', '--genus', '2'],",
+            "             ['mass-growth', '-n', '50'], ['mass-growth', '--format', 'csv'],",
+            "             ['dist', '--model', 'poincare', '[0,1]', '[1,2]']):",
+            "    assert main(argv) == 0, argv",
+            "assert 'numpy' not in sys.modules, 'numpy loaded'",
+            "sys.exit(main(['fixtures', '--filter', 'pa-classification', '--resolution', '8']))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stabmetric.errors import (
     MissingMatrix,
@@ -13,6 +15,7 @@ from stabmetric.errors import (
     NotUnimodular,
 )
 from stabmetric.dynamics import (
+    HUGE_TRACE,
     PA_TABLE,
     Autoeq,
     MassSeed,
@@ -93,6 +96,35 @@ class TestClassification:
             assert translation_length(other) == translation_length(mat)
 
 
+def _word_product_hyperbolic(rng) -> Autoeq:
+    """The shear word of random_unimodular_hyperbolic multiplied out with
+    Autoeq.power and @, drawing from rng in the same order."""
+    lower = Autoeq(1, 0, 1, 1)
+    upper = Autoeq(1, 1, 0, 1)
+    while True:
+        m = Autoeq(1, 0, 0, 1)
+        used = [False, False]
+        for _ in range(int(rng.integers(2, 5))):
+            pick = int(rng.integers(0, 2))
+            used[pick] = True
+            m = m @ (lower if pick == 0 else upper).power(int(rng.integers(1, 3)))
+        if not (used[0] and used[1]):
+            continue
+        if rng.random() < 0.5:
+            m = Autoeq(-m.a, -m.b, -m.c, -m.d)
+        if abs(m.trace) > 2:
+            return m
+
+
+class TestRandomHyperbolic:
+    def test_matches_word_product(self):
+        for seed in range(50):
+            fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(200):
+                assert random_unimodular_hyperbolic(fast) == _word_product_hyperbolic(ref)
+            assert fast.random() == ref.random()
+
+
 class TestStretchAndTranslation:
     def test_fibonacci_stretch(self):
         assert stretch_factor(FIB) == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
@@ -109,6 +141,23 @@ class TestStretchAndTranslation:
             v = a @ v
             v /= np.linalg.norm(v)
         assert np.linalg.norm(a @ v) == pytest.approx(rho, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 2**60 - 1), st.booleans())
+    def test_formula_below_huge_trace(self, tr, negate):
+        f = Autoeq(tr - 1, tr - 2, 1, 1)
+        if negate:
+            f = Autoeq(-f.a, -f.b, -f.c, -f.d)
+        assert stretch_factor(f) == 0.5 * (tr + math.sqrt(tr * tr - 4.0))
+
+    @pytest.mark.parametrize("tr", [10**160 + 2, HUGE_TRACE, 2**512 - 1, 2**1000])
+    def test_huge_trace_is_finite(self, tr):
+        for f in (Autoeq(tr - 1, tr - 2, 1, 1), Autoeq(1 - tr, 2 - tr, -1, -1)):
+            assert stretch_factor(f) == float(tr)
+            assert translation_length(f) == math.log(float(tr))
+            assert entropy_value(f) == translation_length(f)
+            assert poincare_translation_length(f) == pytest.approx(translation_length(f),
+                                                                   rel=1e-15)
 
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(NotPseudoAnosov):
