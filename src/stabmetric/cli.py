@@ -328,16 +328,12 @@ def _cmd_fixtures(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from . import metriclab, quotient
+    from . import fixtures, quotient
     seed = _seed(args)
     if args.kind == "slim-grid":
-        space = metriclab.c_orbit_space()
         rows = []
         for delta in (float(v) for v in args.deltas.split(",")):
-            cert = metriclab.slim_check(
-                space, 0j, complex(4.0 * delta, 0.0), complex(0.0, 4.0 * delta / math.pi),
-                delta, resolution=args.resolution, seed=seed,
-            )
+            cert = fixtures.fat_triangle(delta, args.resolution, seed)
             if cert is None:
                 raise ValueError(f"slim-grid: no violation for delta {delta!r} "
                                  f"at resolution {args.resolution}")

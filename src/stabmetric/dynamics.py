@@ -2,14 +2,16 @@
 elliptic-curve model.
 
 An autoequivalence acts on the rank-two numerical lattice through an
-integer matrix of determinant one; it is pseudo-Anosov exactly when the
-absolute trace exceeds 2, its stretch factor is the spectral radius,
-and its translation length on the quotient of the stability space is
-the log of the stretch factor.  The quotient is isometric to the upper
-half-plane with the quarter-curvature hyperbolic metric
-(dx^2 + dy^2) / (4 y^2), which provides an independent cross-check:
-the displacement-minimizing point lies on the axis through the two real
-fixed points of the Moebius action and realizes arccosh(|trace| / 2).
+``Autoeq``, the ``Mat2`` whose entries are ints with determinant exactly
+1; it is pseudo-Anosov exactly when the absolute trace exceeds 2, its
+stretch factor is the spectral radius, and its translation length on
+the quotient of the stability space is the log of the stretch factor
+(log |trace| where the stretch factor exceeds a double).  The quotient
+is isometric to the upper half-plane with the quarter-curvature
+hyperbolic metric (dx^2 + dy^2) / (4 y^2), which provides an
+independent cross-check: the displacement-minimizing point lies on the
+axis through the two real fixed points of the Moebius action and
+realizes arccosh(|trace| / 2).
 """
 
 from __future__ import annotations
@@ -34,19 +36,15 @@ HUGE_TRACE = 1 << 511
 
 
 @dataclass(frozen=True)
-class Autoeq:
-    """Induced integer matrix of an autoequivalence, det exactly 1."""
-
-    a: int
-    b: int
-    c: int
-    d: int
+class Autoeq(Mat2):
+    """Induced integer matrix of an autoequivalence: a Mat2 whose entries
+    are ints, det exactly 1.  The product of two is again an Autoeq."""
 
     def __post_init__(self):
         for v in (self.a, self.b, self.c, self.d):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise NotUnimodular(f"entries must be integers, got {v!r}")
-        if self.a * self.d - self.b * self.c != 1:
+        if self.det != 1:
             raise NotUnimodular("determinant must be exactly 1")
 
     @classmethod
@@ -60,14 +58,6 @@ class Autoeq:
     @property
     def trace(self) -> int:
         return self.a + self.d
-
-    def __matmul__(self, other: "Autoeq") -> "Autoeq":
-        return Autoeq(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
     def power(self, n: int) -> "Autoeq":
         if n < 0:
@@ -83,12 +73,6 @@ class Autoeq:
 
     def inverse(self) -> "Autoeq":
         return Autoeq(self.d, -self.b, -self.c, self.a)
-
-    def as_mat2(self) -> Mat2:
-        return Mat2(float(self.a), float(self.b), float(self.c), float(self.d))
-
-    def rows(self) -> list[list[int]]:
-        return [[self.a, self.b], [self.c, self.d]]
 
 
 @dataclass(frozen=True)
@@ -134,20 +118,27 @@ def pa_classify(f: Autoeq) -> PAClassification:
     return PAClassification(abs(tr) > 2, tr, kind)
 
 
+def _trace_root(f: Autoeq) -> float:
+    """sqrt(trace^2 - 4), taken as |trace| from HUGE_TRACE on; raises
+    OverflowError once |trace| is beyond the doubles."""
+    tr = abs(f.trace)
+    return float(tr) if tr >= HUGE_TRACE else math.sqrt(tr * tr - 4.0)
+
+
 def stretch_factor(f: Autoeq) -> float:
     """Spectral radius (|trace| + sqrt(trace^2 - 4)) / 2 of a pseudo-Anosov."""
     tr = abs(f.trace)
     if tr <= 2:
         raise NotPseudoAnosov(f"|trace| = {tr} is not > 2")
-    if tr >= HUGE_TRACE:
-        return float(tr)
-    return 0.5 * (tr + math.sqrt(tr * tr - 4.0))
+    return 0.5 * tr + 0.5 * _trace_root(f)  # halved apart, so |trace| near 2**1024 stays finite
 
 
 def translation_length(f: Autoeq) -> float:
     """Translation length on the quotient stability space: log of the
-    stretch factor, attained (the action is a hyperbolic isometry)."""
-    return math.log(stretch_factor(f))
+    stretch factor, attained (the action is a hyperbolic isometry).  From
+    HUGE_TRACE on that is log |trace|, finite for every int."""
+    tr = abs(f.trace)
+    return math.log(tr) if tr >= HUGE_TRACE else math.log(stretch_factor(f))
 
 
 def mass_growth_estimate(m: Mat2, seed: MassSeed, n: int) -> list[float]:
@@ -239,13 +230,12 @@ def mobius_apply(f: Autoeq, z: complex) -> complex:
 
 def _mobius_parts(f: Autoeq, x, y):
     """Real and imaginary parts of f(x + iy), for floats or arrays x, y."""
-    # the imaginary part is det * y / |cz + d|^2 with det known exactly;
+    # the imaginary part is det * y / |cz + d|^2 = y / |cz + d|^2, det being 1;
     # naive complex division cancels catastrophically for huge integer entries
-    det = f.a * f.d - f.b * f.c
     a, b, c, d = float(f.a), float(f.b), float(f.c), float(f.d)
     den = (c * x + d) ** 2 + (c * y) ** 2
     re = (a * x + b) * (c * x + d) + a * c * y * y
-    return re / den, det * y / den
+    return re / den, y / den
 
 
 def displacement_grid(f: Autoeq, x, y):
@@ -260,9 +250,12 @@ def poincare_translation_length(f: Autoeq) -> float:
     """arccosh(|trace| / 2) for the hyperbolic case, else 0; equals the log
     of the stretch factor whenever the trace test passes."""
     tr = abs(f.trace)
-    if tr > 2:
+    if tr <= 2:
+        return 0.0
+    try:
         return math.acosh(0.5 * tr)
-    return 0.0
+    except OverflowError:  # |trace| beyond the doubles: arccosh(|trace| / 2) = log |trace|
+        return math.log(tr)
 
 
 def axis_point(f: Autoeq) -> complex:
@@ -270,13 +263,12 @@ def axis_point(f: Autoeq) -> complex:
     the two real fixed points of the Moebius action."""
     if abs(f.trace) <= 2:
         raise NotHyperbolic("axis needs |trace| > 2")
-    if f.c == 0:
-        # impossible for integer determinant-one matrices with |trace| > 2
-        raise ArithmeticError("vertical axis does not occur for unimodular hyperbolics")
-    s = math.sqrt(f.trace * f.trace - 4.0)
-    p1 = ((f.a - f.d) - s) / (2.0 * f.c)
-    p2 = ((f.a - f.d) + s) / (2.0 * f.c)
-    return complex(0.5 * (p1 + p2), 0.5 * abs(p1 - p2))
+    # c != 0 for det-one integer matrices with |trace| > 2; halving before each
+    # sum keeps the fixed points (a - d -+ root) / 2c finite up to |trace| = 2**1024
+    half_gap, half_root = 0.5 * (f.a - f.d), 0.5 * _trace_root(f)
+    p1 = (half_gap - half_root) / f.c
+    p2 = (half_gap + half_root) / f.c
+    return complex(0.5 * p1 + 0.5 * p2, abs(0.5 * p1 - 0.5 * p2))
 
 
 def upper_bound_dbar(g: CoveredMap) -> float:
@@ -303,32 +295,23 @@ def entropy_value(f: Autoeq) -> float:
     trace classification: log of the stretch factor when |trace| > 2,
     zero otherwise.  This reports the closed-form value; no generator
     tower is computed."""
-    if abs(f.trace) > 2:
-        return math.log(stretch_factor(f))
-    return 0.0
+    return translation_length(f) if abs(f.trace) > 2 else 0.0
 
 
 @dataclass(frozen=True)
 class CurveSummary:
+    """The `pa` report; fields carry the names the report prints."""
+
     genus: int
-    exists: bool
+    pseudo_anosov_exists: bool
     message: str
     classification: Optional[PAClassification] = None
-    stretch: Optional[float] = None
-    translation: Optional[float] = None
+    stretch_factor: Optional[float] = None
+    translation_length: Optional[float] = None
     entropy: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {"genus": self.genus, "pseudo_anosov_exists": self.exists, "message": self.message}
-        if self.classification is not None:
-            out["classification"] = asdict(self.classification)
-        if self.stretch is not None:
-            out["stretch_factor"] = self.stretch
-        if self.translation is not None:
-            out["translation_length"] = self.translation
-        if self.entropy is not None:
-            out["entropy"] = self.entropy
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def curve_pa_summary(genus: int, f: Optional[Autoeq] = None) -> CurveSummary:
@@ -348,15 +331,13 @@ def curve_pa_summary(genus: int, f: Optional[Autoeq] = None) -> CurveSummary:
     if not cls.pseudo_anosov:
         return CurveSummary(genus, False, f"not pseudo-Anosov ({cls.kind}, trace {cls.trace})",
                             classification=cls, entropy=entropy_value(f))
-    return CurveSummary(
-        genus,
-        True,
-        f"pseudo-Anosov with trace {cls.trace}",
-        classification=cls,
-        stretch=stretch_factor(f),
-        translation=translation_length(f),
-        entropy=entropy_value(f),
-    )
+    try:
+        stretch = stretch_factor(f)
+    except OverflowError:  # |trace| beyond the doubles: only the logs are reported
+        stretch = None
+    return CurveSummary(genus, True, f"pseudo-Anosov with trace {cls.trace}",
+                        classification=cls, stretch_factor=stretch,
+                        translation_length=translation_length(f), entropy=entropy_value(f))
 
 
 # Built-in classification table: a hyperbolic / parabolic / elliptic mix

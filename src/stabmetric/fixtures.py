@@ -109,17 +109,21 @@ def _ball_containment(space: SpaceHandle, center, segments, resolution: int) -> 
                for p0, p1 in segments)
 
 
+def fat_triangle(delta: float, resolution: int, seed: int):
+    """slim_check of the paper's triangle (0, 4 delta, 4 delta i / pi) on the
+    translation orbit: the certificate of a side escaping the delta-neighborhood
+    of the other two, or None."""
+    return metriclab.slim_check(metriclab.c_orbit_space(), 0j, complex(4.0 * delta, 0.0),
+                                complex(0.0, 4.0 * delta / math.pi), delta,
+                                resolution=resolution, seed=seed)
+
+
 def _corbit_slim(seed: int, resolution: int):
-    space = metriclab.c_orbit_space()
     certs = []
     rows = {}
     checks = {}
     for delta in (1.0, 2.0, 4.0, 8.0):
-        x = 0j
-        y = complex(4.0 * delta, 0.0)
-        z = complex(0.0, 4.0 * delta / math.pi)
-        cert = metriclab.slim_check(space, x, y, z, delta,
-                                    resolution=resolution, seed=seed)
+        cert = fat_triangle(delta, resolution, seed)
         checks[f"{delta}: violation found"] = cert is not None
         if cert is None:
             continue
@@ -261,9 +265,10 @@ def _pa_table(seed: int, resolution: int):
                      "kind": cls.kind, "trace": cls.trace, "ok": ok})
         checks[f"row {len(rows)} {mat.rows()}: {expected}"] = ok
     for genus in (0, 2, 5):
-        checks[f"genus {genus}: none exists"] = not dynamics.curve_pa_summary(genus).exists
+        none_exists = not dynamics.curve_pa_summary(genus).pseudo_anosov_exists
+        checks[f"genus {genus}: none exists"] = none_exists
     genus_one = dynamics.curve_pa_summary(1, Autoeq(2, 1, 1, 1))
-    checks["genus 1: [[2, 1], [1, 1]] exists"] = genus_one.exists
+    checks["genus 1: [[2, 1], [1, 1]] exists"] = genus_one.pseudo_anosov_exists
     try:
         dynamics.curve_pa_summary(1)
         missing_ok = False

@@ -64,7 +64,8 @@ class Mat2:
         return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
+        """Product; two matrices of one subclass (two Autoeq) multiply into it."""
+        return (type(self) if type(other) is type(self) else Mat2)(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,

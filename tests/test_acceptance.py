@@ -114,7 +114,7 @@ def test_c6_trace_classification():
         ok = ok and cls.pseudo_anosov == (expected == "hyperbolic")
         ok = ok and cls.trace == mat.trace
     for genus in (0, 2, 3, 11):
-        ok = ok and not dynamics.curve_pa_summary(genus).exists
+        ok = ok and not dynamics.curve_pa_summary(genus).pseudo_anosov_exists
     _report("criterion 6: trace classification on 20 matrices and genus rule", ok)
 
 
@@ -143,7 +143,7 @@ def test_c7_translation_length():
 
 def test_c8_mass_growth():
     """a_200 within 0.02 of log rho; error shrinks from n = 50 to n = 200."""
-    mat = Autoeq(2, 1, 1, 1).as_mat2()
+    mat = Autoeq(2, 1, 1, 1)
     ok = True
     for seed in (MassSeed.of((1.0, 0.0)), MassSeed.of((0.3, 0.7), (-1.0, 2.0))):
         values = dynamics.mass_growth_estimate(mat, seed, 200)

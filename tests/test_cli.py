@@ -153,6 +153,15 @@ class TestPA:
         assert payload["stretch_factor"] == float(big + 2)
         assert payload["translation_length"] == payload["entropy"] == math.log(float(big + 2))
 
+    def test_trace_beyond_doubles(self, capsys):
+        big = 2**1024
+        code, out, _ = run(capsys, "pa", "--matrix", f"[[{big - 1},{big - 2}],[1,1]]")
+        payload = json.loads(out)
+        assert code == 0
+        assert "stretch_factor" not in payload
+        assert (payload["translation_length"] == payload["entropy"]
+                == payload["poincare_translation_length"] == math.log(big))
+
     def test_not_unimodular_error(self, capsys):
         code, _, err = run(capsys, "pa", "--matrix", "[[2,0],[0,2]]")
         assert code != 0

@@ -117,6 +117,13 @@ def _word_product_hyperbolic(rng) -> Autoeq:
 
 
 class TestRandomHyperbolic:
+    def test_is_an_exact_mat2(self):
+        assert type(FIB @ FIB) is Autoeq and (FIB @ FIB).rows() == [[5, 3], [3, 2]]
+        assert type(FIB @ Mat2.identity()) is Mat2
+        assert FIB @ Mat2.identity() == Mat2.identity() @ FIB == Mat2(2.0, 1.0, 1.0, 1.0)
+        assert h_coordinate(FIB) == h_coordinate(Mat2(2.0, 1.0, 1.0, 1.0))
+        assert compose(CoveredMap(FIB), c_element(0.5j)).matrix == FIB @ c_element(0.5j).matrix
+
     def test_matches_word_product(self):
         for seed in range(50):
             fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -158,6 +165,23 @@ class TestStretchAndTranslation:
             assert entropy_value(f) == translation_length(f)
             assert poincare_translation_length(f) == pytest.approx(translation_length(f),
                                                                    rel=1e-15)
+            apex = axis_point(f)
+            assert math.isfinite(apex.real) and math.isfinite(apex.imag)
+            assert apex.real == pytest.approx((f.a - f.d) / (2 * f.c), rel=1e-12)
+            assert apex.imag == pytest.approx(abs(f.trace) / (2 * abs(f.c)), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 2**60 - 1), st.integers(-2**40, 2**40), st.booleans())
+    def test_axis_point_below_huge_trace(self, tr, shift, negate):
+        # conjugating by the shear (1, shift; 0, 1) moves the axis without changing the trace
+        shear = Autoeq(1, shift, 0, 1)
+        f = shear @ Autoeq(tr - 1, tr - 2, 1, 1) @ shear.inverse()
+        if negate:
+            f = Autoeq(-f.a, -f.b, -f.c, -f.d)
+        s = math.sqrt(f.trace * f.trace - 4.0)
+        p1 = ((f.a - f.d) - s) / (2.0 * f.c)
+        p2 = ((f.a - f.d) + s) / (2.0 * f.c)
+        assert axis_point(f) == complex(0.5 * (p1 + p2), 0.5 * abs(p1 - p2))
 
     def test_non_hyperbolic_rejected(self):
         with pytest.raises(NotPseudoAnosov):
@@ -264,7 +288,7 @@ class TestHalfPlane:
 
 class TestMassGrowth:
     def test_unit_seed_converges(self):
-        values = mass_growth_estimate(FIB.as_mat2(), MassSeed.of((1.0, 0.0)), 200)
+        values = mass_growth_estimate(FIB, MassSeed.of((1.0, 0.0)), 200)
         assert abs(values[199] - LOG_GOLD) <= 0.02
         assert abs(values[199] - LOG_GOLD) < abs(values[49] - LOG_GOLD)
 
@@ -276,22 +300,27 @@ class TestMassGrowth:
 
     def test_contracting_seed_flagged(self):
         phi = (1.0 + math.sqrt(5.0)) / 2.0
-        values = mass_growth_estimate(FIB.as_mat2(), MassSeed.of((1.0, -phi)), 200)
+        values = mass_growth_estimate(FIB, MassSeed.of((1.0, -phi)), 200)
         assert initial_mass_decay(values)
         assert values[9] < 0.0  # still decaying after ten steps
         assert values[199] > 0.0  # round-off reinjected the expanding direction
 
     def test_generic_seed_not_flagged(self):
-        values = mass_growth_estimate(FIB.as_mat2(), MassSeed.of((0.3, 0.7), (-1.0, 2.0)), 50)
+        values = mass_growth_estimate(FIB, MassSeed.of((0.3, 0.7), (-1.0, 2.0)), 50)
         assert not initial_mass_decay(values)
 
     def test_multi_vector_seed_converges(self):
         seed = MassSeed.of((0.3, 0.7), (-1.0, 2.0))
-        values = mass_growth_estimate(FIB.as_mat2(), seed, 200)
+        values = mass_growth_estimate(FIB, seed, 200)
         assert abs(values[199] - LOG_GOLD) <= 0.02
 
+    def test_autoeq_iterates_as_its_float_matrix(self):
+        seed = MassSeed.of((0.3, 0.7), (-1.0, 2.0))
+        assert (mass_growth_estimate(FIB, seed, 200)
+                == mass_growth_estimate(Mat2(2.0, 1.0, 1.0, 1.0), seed, 200))
+
     def test_no_overflow_for_long_runs(self):
-        values = mass_growth_estimate(FIB.as_mat2(), MassSeed.of((1.0, 0.0)), 400)
+        values = mass_growth_estimate(FIB, MassSeed.of((1.0, 0.0)), 400)
         assert math.isfinite(values[-1])
 
     def test_seed_validation(self):
@@ -351,7 +380,7 @@ class TestCurveSummary:
     def test_low_genus(self):
         for genus in (0, 2, 3):
             summary = curve_pa_summary(genus)
-            assert not summary.exists
+            assert not summary.pseudo_anosov_exists
             assert "no pseudo-Anosov" in summary.message
 
     def test_genus_one_requires_matrix(self):
@@ -365,12 +394,12 @@ class TestCurveSummary:
 
     def test_genus_one_full_report(self):
         summary = curve_pa_summary(1, FIB)
-        assert summary.exists
-        assert summary.stretch == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
-        assert summary.translation == pytest.approx(LOG_GOLD, abs=1e-12)
+        assert summary.pseudo_anosov_exists
+        assert summary.stretch_factor == pytest.approx((3 + math.sqrt(5)) / 2, abs=1e-12)
+        assert summary.translation_length == pytest.approx(LOG_GOLD, abs=1e-12)
         assert summary.entropy == pytest.approx(LOG_GOLD, abs=1e-12)
 
     def test_genus_one_non_pa(self):
         summary = curve_pa_summary(1, Autoeq(1, 1, 0, 1))
-        assert not summary.exists
+        assert not summary.pseudo_anosov_exists
         assert summary.entropy == 0.0
