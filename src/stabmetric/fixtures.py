@@ -10,17 +10,22 @@ translation-length / mass-growth / entropy identities.
 
 ``FIXTURES`` maps each stable id to its claim and its builder.  A
 builder ``(seed, resolution) -> (details, checks, certificates)``
-computes the evidence: ``details`` is the report's data, ``checks``
-maps the name of each inequality the claim rests on to whether it held,
-and ``certificates`` are the metriclab certificates it produced.
-``build_fixture`` alone turns that into a ``FixtureResult``: the fixture
-passes when every check holds, and a failed one lists the names of its
-false checks in ``details["failed_checks"]``.
+computes the evidence: ``details`` is the report's data, ``checks`` is
+the ordered sequence of records ``(name, value, relation, bound)`` the
+claim rests on, and ``certificates`` are the metriclab certificates it
+produced.  A relation is ``<=``, ``>=``, ``<`` or ``>`` with a finite
+float bound, or ``is`` with a bool bound for an exact fact.  Every
+tolerance lives in the bound: an equality is ``|x - c| <= tol``.
+``build_fixture`` alone turns records into verdicts, through
+``RELATIONS``, so a NaN value fails every relation.  The fixture passes
+when every check holds, and a failed one lists the names of its false
+checks in ``details["failed_checks"]``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,43 +50,43 @@ class FixtureResult:
 
 def _corbit_distance_formula(seed: int, resolution: int):
     rng = np.random.default_rng([seed, 1])
-    max_err = 0.0
+    errs = []
     for _ in range(1000):
         lam = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
         expected = max(abs(lam.real), math.pi * abs(lam.imag))
-        max_err = max(max_err, abs(stabmodel.c_orbit_distance(0.0, lam) - expected))
+        errs.append(abs(stabmodel.c_orbit_distance(0.0, lam) - expected))
     anchor_real = abs(stabmodel.c_orbit_distance(0.0, 1.0) - 1.0)
     anchor_imag = abs(stabmodel.c_orbit_distance(0.0, 1j) - math.pi)
     # the definitional oracle: class supremum between a strip point and its translate
     oracle_rng = np.random.default_rng([seed, 13])
-    oracle_err = 0.0
+    oracle_errs = []
     for _ in range(20):
         p = stabmodel.random_region_point(oracle_rng)
         lam = complex(oracle_rng.uniform(-2.0, 2.0), oracle_rng.uniform(-1.0, 1.0))
         expected = max(abs(lam.real), math.pi * abs(lam.imag))
         oracle = stabmodel.d_B_sampled(p, stabmodel.c_act(p, lam), 3)
-        oracle_err = max(oracle_err, abs(oracle - expected))
-    details = {"samples": 1000, "max_error": max_err,
+        oracle_errs.append(abs(oracle - expected))
+    details = {"samples": 1000, "max_error": float(np.max(errs)),
                "anchor_real_error": anchor_real, "anchor_imag_error": anchor_imag}
-    checks = {f"{key} <= 1e-12": details[key] <= 1e-12
-              for key in ("max_error", "anchor_real_error", "anchor_imag_error")}
-    checks["d_B_sampled(p, p.lam, 3) = max{|Re lam|, pi |Im lam|}"] = oracle_err <= 1e-12
+    checks = [(f"{key} <= 1e-12", details[key], "<=", 1e-12)
+              for key in ("max_error", "anchor_real_error", "anchor_imag_error")]
+    checks.append(("d_B_sampled(p, p.lam, 3) = max{|Re lam|, pi |Im lam|}",
+                   float(np.max(oracle_errs)), "<=", 1e-12))
     return details, checks, []
 
 
-def _nonunique_checks(label: str, cert, r: float) -> dict:
+def _nonunique_checks(label: str, cert, r: float) -> list:
     """The bounds a non-unique-geodesic certificate at scale r must meet."""
-    return {
-        f"{label}additivity_residual <= 1e-12": cert.witness["additivity_residual"] <= 1e-12,
-        f"{label}margin >= r / 4pi": cert.margin >= r / (4.0 * math.pi) - 1e-9,
-    }
+    return [(f"{label}additivity_residual <= 1e-12", cert.witness["additivity_residual"],
+             "<=", 1e-12),
+            (f"{label}margin >= r / 4pi", cert.margin, ">=", r / (4.0 * math.pi) - 1e-9)]
 
 
 def _corbit_nonunique(seed: int, resolution: int):
     space = metriclab.c_orbit_space()
     certs = []
     per_ball = {}
-    checks = {}
+    checks = []
     for r_prime in (0.05, 0.25, 1.0):
         r = 0.8 * min(r_prime, 0.25)
         x, y = 0j, complex(r, 0.0)
@@ -90,8 +95,8 @@ def _corbit_nonunique(seed: int, resolution: int):
                                                   resolution=resolution, seed=seed)
         certs.append(cert)
         containment = _ball_containment(space, x, ((x, z), (z, y), (x, y)), resolution)
-        checks.update(_nonunique_checks(f"{r_prime}: ", cert, r))
-        checks[f"{r_prime}: max_distance_from_center < r'"] = containment < r_prime
+        checks += [*_nonunique_checks(f"{r_prime}: ", cert, r),
+                   (f"{r_prime}: max_distance_from_center < r'", containment, "<", r_prime)]
         per_ball[str(r_prime)] = {
             "r": r,
             "margin": cert.margin,
@@ -105,8 +110,8 @@ def _ball_containment(space: SpaceHandle, center, segments, resolution: int) -> 
     """Largest distance from the center to a sampled point of the segments."""
     ts = metriclab.sample_params(resolution)
     c = space.coords(center)
-    return max(float(space.pairwise(c, space.path(*space.coords(p0, p1), ts)).max())
-               for p0, p1 in segments)
+    return float(np.max([space.pairwise(c, space.path(*space.coords(p0, p1), ts)).max()
+                         for p0, p1 in segments]))
 
 
 def fat_triangle(delta: float, resolution: int, seed: int):
@@ -121,16 +126,16 @@ def fat_triangle(delta: float, resolution: int, seed: int):
 def _corbit_slim(seed: int, resolution: int):
     certs = []
     rows = {}
-    checks = {}
+    checks = []
     for delta in (1.0, 2.0, 4.0, 8.0):
         cert = fat_triangle(delta, resolution, seed)
-        checks[f"{delta}: violation found"] = cert is not None
+        checks.append((f"{delta}: violation found", cert is not None, "is", True))
         if cert is None:
             continue
         expected_witness = complex(2.0 * delta, 2.0 * delta / math.pi)
-        checks[f"{delta}: witness at (2 delta, 2 delta / pi)"] = (
-            abs(cert.witness["point"] - expected_witness) <= 1e-9)
-        checks[f"{delta}: margin = delta"] = abs(cert.margin - delta) <= 1e-9
+        checks += [(f"{delta}: witness at (2 delta, 2 delta / pi)",
+                    abs(cert.witness["point"] - expected_witness), "<=", 1e-9),
+                   (f"{delta}: margin = delta", abs(cert.margin - delta), "<=", 1e-9)]
         certs.append(cert)
         rows[str(delta)] = {"margin": cert.margin,
                             "witness": cert.witness["point"],
@@ -143,14 +148,11 @@ def _corbit_cat0(seed: int, resolution: int):
     x, y, z = 0j, complex(2.0, 0.0), complex(1.0, 1.0 / math.pi)
     cert = metriclab.cat0_check(space, x, y, z, resolution=resolution, seed=seed)
     if cert is None:
-        return {"margin": None}, {"violation found": False}, []
-    witness_points = (cert.witness["p"], cert.witness["q"])
-    checks = {
-        "margin = 1": abs(cert.margin - 1.0) <= 1e-9,
-        "a witness is the apex": any(abs(p - z) <= 1e-9 for p in witness_points),
-        "a witness is the midpoint 1": any(abs(p - complex(1.0, 0.0)) <= 1e-9
-                                           for p in witness_points),
-    }
+        return {"margin": None}, [("violation found", False, "is", True)], []
+    witness = np.array([cert.witness["p"], cert.witness["q"]])
+    checks = [("margin = 1", abs(cert.margin - 1.0), "<=", 1e-9),
+              ("a witness is the apex", float(np.min(np.abs(witness - z))), "<=", 1e-9),
+              ("a witness is the midpoint 1", float(np.min(np.abs(witness - 1.0))), "<=", 1e-9)]
     return {"margin": cert.margin}, checks, [cert]
 
 
@@ -167,19 +169,13 @@ def _quotient_nonunique(seed: int, resolution: int):
     k1, k2, k3 = (quotient.embed_q(v) for v in vectors)
     kcert = metriclab.nonunique_geodesic_check(kq, k1, k2, k3,
                                                resolution=resolution, seed=seed)
-    d12 = quotient.quot_dist_closed(p1, p2)
-    d23 = quotient.quot_dist_closed(p2, p3)
-    d13 = quotient.quot_dist_closed(p1, p3)
-    checks = {
-        **_nonunique_checks("", cert, r),
-        **_nonunique_checks("kronecker ", kcert, r),
-        "cat0 margin >= 0.04": cat is not None and cat.margin >= 0.04,
-        "d12 = 0.1": abs(d12 - 0.1) <= 1e-12,
-        "d23 = 0.1": abs(d23 - 0.1) <= 1e-12,
-        "d13 = 0.2": abs(d13 - 0.2) <= 1e-12,
-    }
+    d12, d23, d13 = (quotient.quot_dist_closed(a, b) for a, b in ((p1, p2), (p2, p3), (p1, p3)))
     details = {"d12": d12, "d23": d23, "d13": d13, "margin": cert.margin,
                "kronecker_margin": kcert.margin}
+    checks = [*_nonunique_checks("", cert, r), *_nonunique_checks("kronecker ", kcert, r),
+              ("cat0 margin >= 0.04", -math.inf if cat is None else cat.margin, ">=", 0.04),
+              *((f"{key} = {d}", abs(details[key] - d), "<=", 1e-12)
+                for key, d in (("d12", 0.1), ("d23", 0.1), ("d13", 0.2)))]
     return details, checks, [c for c in (cert, cat, kcert) if c is not None]
 
 
@@ -199,24 +195,21 @@ def _closed_form_pairs(seed: int):
 
 def _quotient_closed_form(seed: int, resolution: int):
     sigma, tau = _closed_form_pairs(seed)
-    numeric = quotient.quot_dist_pairs(sigma, tau).tolist()
-    max_solver_dev = 0.0
-    max_minimizer_dev = 0.0
-    for x, y, value in zip(sigma[:-1], tau[:-1], numeric):
-        closed = quotient.quot_dist_closed(quotient.QuotPoint.from_vector(x),
-                                           quotient.QuotPoint.from_vector(y))
-        attained = quotient.dprime(quotient.r4_act(x, quotient.quot_minimizer(x, y)), y)
-        max_solver_dev = max(max_solver_dev, abs(value - closed))
-        max_minimizer_dev = max(max_minimizer_dev, abs(attained - closed))
-    same_orbit = numeric[-1]  # same-orbit pairs collapse to distance zero
-    checks = {
-        "max_solver_deviation <= 1e-6": max_solver_dev <= 1e-6,
-        "max_minimizer_deviation <= 1e-12": max_minimizer_dev <= 1e-12,
-        "same_orbit_distance <= 1e-9": same_orbit <= 1e-9,
-    }
-    details = {"pairs": 100, "max_solver_deviation": max_solver_dev,
-               "max_minimizer_deviation": max_minimizer_dev,
-               "same_orbit_distance": same_orbit}
+    numeric = quotient.quot_dist_pairs(sigma, tau)
+    closed, attained = np.array([
+        (quotient.quot_dist_closed(quotient.QuotPoint.from_vector(x),
+                                   quotient.QuotPoint.from_vector(y)),
+         quotient.dprime(quotient.r4_act(x, quotient.quot_minimizer(x, y)), y))
+        for x, y in zip(sigma[:-1], tau[:-1])]).T
+    details = {"pairs": 100,
+               "max_solver_deviation": float(np.max(np.abs(numeric[:-1] - closed))),
+               "max_minimizer_deviation": float(np.max(np.abs(attained - closed))),
+               # same-orbit pairs collapse to distance zero
+               "same_orbit_distance": float(numeric[-1])}
+    checks = [("max_solver_deviation <= 1e-6", details["max_solver_deviation"], "<=", 1e-6),
+              ("max_minimizer_deviation <= 1e-12", details["max_minimizer_deviation"],
+               "<=", 1e-12),
+              ("same_orbit_distance <= 1e-9", details["same_orbit_distance"], "<=", 1e-9)]
     return details, checks, []
 
 
@@ -228,27 +221,23 @@ def _embedding_isometry(seed: int, resolution: int):
         p = stabmodel.random_region_point(rng)
         q = stabmodel.random_region_point(rng)
         closed = stabmodel.d_B_closed(p, q)
-        for cap in (1, 5, 10):
-            if stabmodel.d_B_sampled(p, q, cap) != closed:
-                sampled_exact = False
-    max_intertwine = 0.0
+        sampled_exact &= all(stabmodel.d_B_sampled(p, q, cap) == closed for cap in (1, 5, 10))
+    intertwine = []
     for _ in range(20):
         x = stabmodel.random_region_vector(rng)
         lam = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         left = quotient.embed_q(quotient.r4_act(x, lam))
         right = stabmodel.c_act(quotient.embed_q(x), complex(lam.real, lam.imag / math.pi))
-        max_intertwine = max(max_intertwine,
-                             max(abs(a - b) for a, b in zip(left.x, right.x)))
+        intertwine += [abs(a - b) for a, b in zip(left.x, right.x)]
+    max_intertwine = float(np.max(intertwine))
     anchor = stabmodel.d_B_closed(
         quotient.embed_q((0.2, 0.0, 0.5, 0.3)), quotient.embed_q((0.3, -0.1, 0.9, 0.0))
     )
-    checks = {
-        "max_metric_deviation <= 1e-12": report.max_metric_deviation <= 1e-12,
-        "max_quotient_deviation <= 1e-12": report.max_quotient_deviation <= 1e-12,
-        "sampled supremum exact": sampled_exact,
-        "max_intertwining_deviation <= 1e-12": max_intertwine <= 1e-12,
-        "anchor_distance = 0.4": abs(anchor - 0.4) <= 1e-12,
-    }
+    checks = [("max_metric_deviation <= 1e-12", report.max_metric_deviation, "<=", 1e-12),
+              ("max_quotient_deviation <= 1e-12", report.max_quotient_deviation, "<=", 1e-12),
+              ("sampled supremum exact", sampled_exact, "is", True),
+              ("max_intertwining_deviation <= 1e-12", max_intertwine, "<=", 1e-12),
+              ("anchor_distance = 0.4", abs(anchor - 0.4), "<=", 1e-12)]
     details = {"report": report, "sampled_supremum_exact": sampled_exact,
                "max_intertwining_deviation": max_intertwine, "anchor_distance": anchor}
     return details, checks, []
@@ -256,25 +245,26 @@ def _embedding_isometry(seed: int, resolution: int):
 
 def _pa_table(seed: int, resolution: int):
     rows = []
-    checks = {}
+    checks = []
     for mat, expected in dynamics.PA_TABLE:
         cls = dynamics.pa_classify(mat)
         ok = (cls.kind == expected and cls.pseudo_anosov == (expected == "hyperbolic")
               and cls.trace == mat.trace)
         rows.append({"matrix": mat.rows(), "expected": expected,
                      "kind": cls.kind, "trace": cls.trace, "ok": ok})
-        checks[f"row {len(rows)} {mat.rows()}: {expected}"] = ok
-    for genus in (0, 2, 5):
-        none_exists = not dynamics.curve_pa_summary(genus).pseudo_anosov_exists
-        checks[f"genus {genus}: none exists"] = none_exists
+        checks.append((f"row {len(rows)} {mat.rows()}: {expected}", ok, "is", True))
+    checks += [(f"genus {genus}: none exists",
+                dynamics.curve_pa_summary(genus).pseudo_anosov_exists, "is", False)
+               for genus in (0, 2, 5)]
     genus_one = dynamics.curve_pa_summary(1, Autoeq(2, 1, 1, 1))
-    checks["genus 1: [[2, 1], [1, 1]] exists"] = genus_one.pseudo_anosov_exists
+    checks.append(("genus 1: [[2, 1], [1, 1]] exists", genus_one.pseudo_anosov_exists,
+                   "is", True))
     try:
         dynamics.curve_pa_summary(1)
         missing_ok = False
     except MissingMatrix:
         missing_ok = True
-    checks["genus 1 without a matrix: MissingMatrix"] = missing_ok
+    checks.append(("genus 1 without a matrix: MissingMatrix", missing_ok, "is", True))
     return {"table": rows, "genus_one": genus_one.to_dict()}, checks, []
 
 
@@ -283,33 +273,29 @@ def _translation_crosscheck(seed: int, resolution: int):
     target = math.log(0.5 * (3.0 + math.sqrt(5.0)))
     anchor_err = abs(dynamics.translation_length(anchor) - target)
     rng = np.random.default_rng([seed, 9])
-    max_pair_dev = 0.0
-    max_axis_dev = 0.0
-    min_grid_margin = math.inf
+    devs = []
     conjugation_ok = True
     grid_x, grid_y = np.meshgrid(np.linspace(-3.0, 3.0, 21), np.geomspace(0.05, 20.0, 21),
                                  indexing="ij")
     for _ in range(100):
         mat = dynamics.random_unimodular_hyperbolic(rng)
         length = dynamics.translation_length(mat)
-        max_pair_dev = max(max_pair_dev,
-                           abs(length - dynamics.poincare_translation_length(mat)))
+        pair_dev = abs(length - dynamics.poincare_translation_length(mat))
         apex = dynamics.axis_point(mat)
-        max_axis_dev = max(max_axis_dev,
-                           abs(dynamics.poincare_distance(apex, dynamics.mobius_apply(mat, apex))
-                               - length))
+        axis_dev = abs(dynamics.poincare_distance(apex, dynamics.mobius_apply(mat, apex))
+                       - length)
         disp = float(dynamics.displacement_grid(mat, grid_x, grid_y).min())
-        min_grid_margin = min(min_grid_margin, disp - (length - 1e-3))
+        devs.append((pair_dev, axis_dev, disp - (length - 1e-3)))
         conj = dynamics.random_unimodular_hyperbolic(rng)
-        conjugated = conj @ mat @ conj.inverse()
-        conjugation_ok = conjugation_ok and conjugated.trace == mat.trace
-    checks = {
-        "anchor_error <= 1e-12": anchor_err <= 1e-12,
-        "max_pair_deviation <= 1e-12": max_pair_dev <= 1e-12,
-        "max_axis_deviation <= 1e-9": max_axis_dev <= 1e-9,
-        "min_grid_margin >= 0": min_grid_margin >= 0.0,
-        "trace is conjugation invariant": conjugation_ok,
-    }
+        conjugation_ok &= (conj @ mat @ conj.inverse()).trace == mat.trace
+    devs = np.array(devs)
+    max_pair_dev, max_axis_dev = devs[:, :2].max(axis=0).tolist()
+    min_grid_margin = float(devs[:, 2].min())
+    checks = [("anchor_error <= 1e-12", anchor_err, "<=", 1e-12),
+              ("max_pair_deviation <= 1e-12", max_pair_dev, "<=", 1e-12),
+              ("max_axis_deviation <= 1e-9", max_axis_dev, "<=", 1e-9),
+              ("min_grid_margin >= 0", min_grid_margin, ">=", 0.0),
+              ("trace is conjugation invariant", conjugation_ok, "is", True)]
     details = {"anchor_error": anchor_err, "max_pair_deviation": max_pair_dev,
                "max_axis_deviation": max_axis_dev, "min_grid_margin": min_grid_margin,
                "conjugation_invariant": conjugation_ok}
@@ -320,7 +306,7 @@ def _mass_growth(seed: int, resolution: int):
     mat = Mat2.from_rows([[2.0, 1.0], [1.0, 1.0]])
     target = math.log(0.5 * (3.0 + math.sqrt(5.0)))
     rows = {}
-    checks = {}
+    checks = []
     for name, vectors in (
         ("unit", ((1.0, 0.0),)),
         ("generic", ((0.3, 0.7), (-1.0, 2.0))),
@@ -328,18 +314,19 @@ def _mass_growth(seed: int, resolution: int):
         values = dynamics.mass_growth_estimate(mat, MassSeed(vectors), 200)
         errs = {n: abs(values[n - 1] - target) for n in (50, 100, 200)}
         decay = dynamics.initial_mass_decay(values)
-        checks[f"{name}: error at 200 <= 0.02"] = errs[200] <= 0.02
-        checks[f"{name}: errors at 50 > 100 > 200"] = errs[200] < errs[100] < errs[50]
-        checks[f"{name}: no initial decay"] = not decay
+        checks += [(f"{name}: error at 200 <= 0.02", errs[200], "<=", 0.02),
+                   (f"{name}: errors at 50 > 100 > 200",
+                    float(np.min(np.diff([errs[200], errs[100], errs[50]]))), ">", 0.0),
+                   (f"{name}: no initial decay", decay, "is", False)]
         rows[name] = {"a200": values[199], "errors": {str(k): v for k, v in errs.items()},
                       "initial_decay": decay}
     identity_values = dynamics.mass_growth_estimate(Mat2.identity(), MassSeed.of((3.0, 4.0)), 200)
-    checks["identity: |a200| <= 0.01"] = abs(identity_values[199]) <= 0.01
+    checks.append(("identity: |a200| <= 0.01", abs(identity_values[199]), "<=", 0.01))
     contracting = dynamics.mass_growth_estimate(
         mat, MassSeed.of((1.0, -GOLDEN_RATIO)), 200
     )
     decay_flagged = dynamics.initial_mass_decay(contracting)
-    checks["contracting: initial decay flagged"] = decay_flagged
+    checks.append(("contracting: initial decay flagged", decay_flagged, "is", True))
     rows["contracting"] = {"a200": contracting[199], "initial_decay": decay_flagged,
                            "note": "flagged: early iterates decay, estimate unreliable"}
     rows["identity"] = {"a200": identity_values[199]}
@@ -347,36 +334,33 @@ def _mass_growth(seed: int, resolution: int):
 
 
 def _entropy_chain(seed: int, resolution: int):
-    checks = {}
-    max_gap = 0.0
+    checks = []
+    gaps = []
     for i, (mat, expected) in enumerate(dynamics.PA_TABLE, start=1):
         entropy = dynamics.entropy_value(mat)
-        lower = dynamics.poincare_translation_length(mat)
-        checks[f"row {i}: entropy >= translation length"] = entropy >= lower - 1e-12
+        checks.append((f"row {i}: entropy >= translation length", entropy, ">=",
+                       dynamics.poincare_translation_length(mat) - 1e-12))
         if expected == "hyperbolic":
-            gap = abs(entropy - dynamics.translation_length(mat))
-            max_gap = max(max_gap, gap)
-            checks[f"row {i}: entropy = translation length"] = gap <= 1e-12
+            gaps.append(abs(entropy - dynamics.translation_length(mat)))
+            checks.append((f"row {i}: entropy = translation length", gaps[-1], "<=", 1e-12))
     anchor = Autoeq(2, 1, 1, 1)
     rho = dynamics.stretch_factor(anchor)
     length = dynamics.translation_length(anchor)
     diag = CoveredMap(Mat2.diagonal(1.0 / rho, rho))
     diag_bound = dynamics.upper_bound_dbar(diag)
-    min_over_translates = min(
+    min_over_translates = float(np.min([
         dynamics.upper_bound_dbar(compose(diag, dynamics.c_element(lam)))
-        for lam in (0.0, 0.3, -0.2 + 0.1j, 0.5j, 1.0 + 0.2j)
-    )
+        for lam in (0.0, 0.3, -0.2 + 0.1j, 0.5j, 1.0 + 0.2j)]))
     n = 100
     orbit_rate = dynamics.poincare_distance(
         1j, dynamics.mobius_apply(anchor.power(n), 1j)
     ) / n
-    checks.update({
-        "diagonal_bound = translation length": abs(diag_bound - length) <= 1e-12,
-        "min_bound_over_translates >= translation length":
-            min_over_translates >= length - 1e-12,
-        "orbit_rate_n100 = translation length (0.01)": abs(orbit_rate - length) <= 0.01,
-    })
-    details = {"max_entropy_gap": max_gap, "diagonal_bound": diag_bound,
+    checks += [("diagonal_bound = translation length", abs(diag_bound - length), "<=", 1e-12),
+               ("min_bound_over_translates >= translation length", min_over_translates,
+                ">=", length - 1e-12),
+               ("orbit_rate_n100 = translation length (0.01)", abs(orbit_rate - length),
+                "<=", 0.01)]
+    details = {"max_entropy_gap": float(np.max(gaps)), "diagonal_bound": diag_bound,
                "min_bound_over_translates": min_over_translates,
                "orbit_rate_n100": orbit_rate, "translation_length": length}
     return details, checks, []
@@ -395,8 +379,8 @@ def _straight_lines(seed: int, resolution: int):
     )
     # five random pairs per space, drawn in order: orbit, quotient, strip
     dev_corbit, dev_quot, dev_kron = (
-        max(metriclab.geodesic_deviation(space, sample(), sample(), resolution=res)
-            for _ in range(5))
+        float(np.max([metriclab.geodesic_deviation(space, sample(), sample(), resolution=res)
+                      for _ in range(5)]))
         for space, sample in samplers
     )
     arc = replace(metriclab.euclidean_plane(), name="euclidean-quarter-arc",
@@ -407,10 +391,10 @@ def _straight_lines(seed: int, resolution: int):
     details = {"corbit_deviation": dev_corbit, "quotient_deviation": dev_quot,
                "kronecker_deviation": dev_kron, "arc_deviation": dev_arc,
                "arc_oracle": oracle}
-    checks = {f"{key} <= 1e-12": details[key] <= 1e-12
-              for key in ("corbit_deviation", "quotient_deviation", "kronecker_deviation")}
-    checks["|arc_deviation - arc_oracle| <= 1e-3"] = abs(dev_arc - oracle) <= 1e-3
-    checks["arc_deviation > 0.05"] = dev_arc > 0.05
+    checks = [(f"{key} <= 1e-12", details[key], "<=", 1e-12)
+              for key in ("corbit_deviation", "quotient_deviation", "kronecker_deviation")]
+    checks += [("|arc_deviation - arc_oracle| <= 1e-3", abs(dev_arc - oracle), "<=", 1e-3),
+               ("arc_deviation > 0.05", dev_arc, ">", 0.05)]
     return details, checks, []
 
 
@@ -480,21 +464,27 @@ FIXTURES: dict[str, tuple[str, object]] = {
 }
 
 
+RELATIONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
+             "is": operator.is_}
+
+
 def build_fixture(fid: str, seed: int = 0, resolution: int = 512) -> FixtureResult:
-    """Run one fixture: it passes when every named check holds, and a
-    failed one lists its false checks in ``details["failed_checks"]``.
+    """Run one fixture: a check holds when ``RELATIONS[relation](value,
+    bound)`` does, the fixture passes when every check holds, and a failed
+    one lists its false checks in ``details["failed_checks"]``.
     Unexpected errors become a failed result rather than aborting the
     suite."""
     claim, builder = FIXTURES[fid]
     try:
         details, checks, certificates = builder(seed, resolution)
+        failed = [name for name, value, relation, bound in checks
+                  if not RELATIONS[relation](value, bound)]
     except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
         return FixtureResult(fid, claim, False,
                              {"error": type(exc).__name__, "message": str(exc)})
-    failed = [name for name, ok in checks.items() if not ok]
     if failed:
         details = {**details, "failed_checks": failed}
-    return FixtureResult(fid, claim, all(checks.values()), details, certificates)
+    return FixtureResult(fid, claim, not failed, details, certificates)
 
 
 def fixture_ids(filter_str: str = "") -> list[str]:

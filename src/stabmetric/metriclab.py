@@ -360,9 +360,9 @@ def geodesic_deviation(space: SpaceHandle, x, y, *, resolution: int = 256) -> fl
     d_xy = space.dist(x, y)
     pts = space.path(*space.coords(x, y), ts)
     # both matrices are symmetric: the upper block triangle holds the maximum
-    return max(float(np.max(np.abs(space.pairwise(pts[rows], pts[rows.start:])
-                                   - np.abs(ts[rows, None] - ts[None, rows.start:]) * d_xy)))
-               for rows in _row_blocks(len(ts), len(ts)))
+    return float(np.max([np.max(np.abs(space.pairwise(pts[rows], pts[rows.start:])
+                                       - np.abs(ts[rows, None] - ts[None, rows.start:]) * d_xy))
+                         for rows in _row_blocks(len(ts), len(ts))]))
 
 
 def verify_certificate(space: SpaceHandle, cert: TriangleCertificate) -> float:

@@ -246,9 +246,5 @@ def isometry_report(n: int, seed: int = 0) -> IsometryReport:
     a maximum over no pairs would certify nothing."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n!r}")
-    dev_m = 0.0
-    dev_q = 0.0
-    for dm, dq in iter_isometry_samples(n, seed):
-        dev_m = max(dev_m, dm)
-        dev_q = max(dev_q, dq)
+    dev_m, dev_q = np.max(list(iter_isometry_samples(n, seed)), axis=0).tolist()
     return IsometryReport(n, seed, dev_m, dev_q)

@@ -285,7 +285,7 @@ class TestFixturesCommand:
         import stabmetric.fixtures as fx
 
         def half(seed, resolution):
-            return {"value": 1.0}, {"a": True, "b": False}, []
+            return {"value": 1.0}, [("a", True, "is", True), ("b", False, "is", True)], []
 
         monkeypatch.setitem(fx.FIXTURES, "corbit-distance-formula", ("claim", half))
         code, out, _ = run(capsys, "fixtures", "--filter", "corbit-distance")

@@ -1,0 +1,125 @@
+"""The fixtures' one pass/fail rule: checks are (name, value, relation,
+bound) records, and ``build_fixture`` alone turns them into verdicts."""
+
+import math
+from dataclasses import replace
+
+import pytest
+
+from stabmetric import dynamics, metriclab, quotient
+from stabmetric.fixtures import FIXTURES, RELATIONS, build_fixture
+
+NUMERIC = ("<=", ">=", "<", ">")
+
+
+@pytest.fixture(scope="module", params=[0, 1])
+def records(request):
+    """Each fixture's records at one seed, straight from its builder."""
+    return {fid: builder(request.param, 512)[1] for fid, (_, builder) in FIXTURES.items()}
+
+
+def _canned(details, checks):
+    return lambda seed, resolution: (details, checks, [])
+
+
+class TestRecords:
+    def test_relations_and_bounds(self, records):
+        for fid, checks in records.items():
+            for name, value, relation, bound in checks:
+                assert relation in RELATIONS, (fid, name)
+                if relation in NUMERIC:
+                    assert isinstance(bound, float) and math.isfinite(bound), (fid, name)
+                else:
+                    assert type(value) is bool and type(bound) is bool, (fid, name)
+
+    def test_names_are_unique(self, records):
+        for fid, checks in records.items():
+            names = [name for name, *_ in checks]
+            assert len(set(names)) == len(names), fid
+
+    def test_seed_zero_count(self):
+        assert sum(len(builder(0, 512)[1]) for _, builder in FIXTURES.values()) == 118
+
+
+class TestRule:
+    @staticmethod
+    def _crossed(value, relation):
+        """A bound just across the value, so that the relation fails."""
+        return {"<=": math.nextafter(value, -math.inf), "<": value,
+                ">=": math.nextafter(value, math.inf), ">": value}.get(relation, not value)
+
+    def test_a_crossed_bound_names_its_check(self, monkeypatch):
+        for fid, (claim, builder) in list(FIXTURES.items()):
+            details, checks, _ = builder(0, 512)
+            for k, (name, value, relation, _) in enumerate(checks):
+                crossed = [*checks[:k], (name, value, relation, self._crossed(value, relation)),
+                           *checks[k + 1:]]
+                monkeypatch.setitem(FIXTURES, fid, (claim, _canned(details, crossed)))
+                result = build_fixture(fid)
+                assert result.passed is False
+                assert result.details["failed_checks"] == [name]
+
+    def test_nan_fails_every_numeric_relation(self, monkeypatch):
+        checks = [(relation, math.nan, relation, 0.0) for relation in NUMERIC]
+        monkeypatch.setitem(FIXTURES, "entropy-chain", ("claim", _canned({}, checks)))
+        result = build_fixture("entropy-chain")
+        assert result.passed is False
+        assert result.details["failed_checks"] == list(NUMERIC)
+
+
+class TestNanFails:
+    """A NaN deep in a fixture's evidence fails the check it feeds."""
+
+    def test_nan_solver_row(self, monkeypatch):
+        solve = quotient.quot_dist_pairs
+
+        def nan_row(sigma, tau):
+            out = solve(sigma, tau).copy()
+            out[3] = math.nan
+            return out
+
+        monkeypatch.setattr(quotient, "quot_dist_pairs", nan_row)
+        result = build_fixture("quotient-closed-form")
+        assert result.details["failed_checks"] == ["max_solver_deviation <= 1e-6"]
+
+    def test_nan_grid_cell(self, monkeypatch):
+        grid = dynamics.displacement_grid
+
+        def nan_cell(mat, x, y):
+            out = grid(mat, x, y)
+            out[0, 0] = math.nan
+            return out
+
+        monkeypatch.setattr(dynamics, "displacement_grid", nan_cell)
+        result = build_fixture("translation-length-crosscheck")
+        assert result.details["failed_checks"] == ["min_grid_margin >= 0"]
+
+    def test_nan_translation_length(self, monkeypatch):
+        length = dynamics.poincare_translation_length
+        calls = []
+
+        def nan_third(mat):
+            calls.append(mat)
+            return math.nan if len(calls) == 3 else length(mat)
+
+        monkeypatch.setattr(dynamics, "poincare_translation_length", nan_third)
+        result = build_fixture("translation-length-crosscheck")
+        assert result.details["failed_checks"] == ["max_pair_deviation <= 1e-12"]
+
+    def test_nan_isometry_sample(self, monkeypatch):
+        monkeypatch.setattr(quotient, "iter_isometry_samples",
+                            lambda n, seed: iter([(0.0, 0.0), (math.nan, 0.0), (0.0, 0.0)]))
+        assert math.isnan(quotient.isometry_report(3).max_metric_deviation)
+
+    def test_nan_in_the_last_row_block(self, monkeypatch):
+        plane = metriclab.euclidean_plane()
+
+        def pairwise(A, B):
+            out = plane.pairwise(A, B)
+            if len(A) == len(B):  # the last block of the scan's upper triangle
+                out[0, 0] = math.nan
+            return out
+
+        monkeypatch.setattr(metriclab, "_BLOCK_CELLS", 64)
+        space = replace(plane, pairwise=pairwise)
+        assert math.isnan(metriclab.geodesic_deviation(space, 0j, 1 + 1j, resolution=64))
