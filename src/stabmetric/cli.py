@@ -5,13 +5,16 @@ for sweeps) built only from the inputs and the seed, so fixed arguments
 produce byte-identical output; wall-clock timings are kept out of the
 reports and shown on stderr only when asked for.  Only the commands
 that evaluate arrays import the array modules, so `pa`, `mass-growth`
-and `dist --model poincare` start without numpy.
+and `dist --model poincare` start without numpy.  The argument parser
+is built once per process, on the first call, and every later call of
+`main` parses with that same parser.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -318,9 +321,11 @@ def _cmd_fixtures(args) -> int:
                 for r in results]
         _emit_csv(["fixture_id", "passed", "certificates", "claim"], rows, args)
     else:
+        # strict JSON: a NaN or an infinity fails its fixture and is written
+        # as null, so the failing fixture's report still comes out
         payload = {
             "config": {"seed": seed, "resolution": args.resolution, "filter": args.filter},
-            "results": metriclab.as_jsonable(results),
+            "results": fixtures.null_non_finite(metriclab.as_jsonable(results)),
             "all_passed": all_passed,
         }
         _emit(payload, args)
@@ -363,7 +368,10 @@ def _add_common(sub, *flags: str, resolution: int = 512) -> None:
     sub.add_argument("--out", default=None, help="write the report to this path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and returned by
+    every later one; parsing does not change it, so calls can share it."""
     parser = argparse.ArgumentParser(
         prog="stabmetric",
         description="metric geometry of stability spaces: distances, curvature "

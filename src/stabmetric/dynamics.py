@@ -150,19 +150,21 @@ def mass_growth_estimate(m: Mat2, seed: MassSeed, n: int) -> list[float]:
     """
     if not 1 <= n <= MAX_ITERATES:
         raise ValueError(f"n must be in 1..{MAX_ITERATES}, got {n!r}")
-    norms = [math.hypot(*v) for v in seed.vectors]
-    logs = [math.log(s) for s in norms]
+    a, b, c, d = m.a, m.b, m.c, m.d
+    hypot, log = math.hypot, math.log
+    norms = [hypot(*v) for v in seed.vectors]
+    logs = [log(s) for s in norms]
     units = [(v[0] / s, v[1] / s) for v, s in zip(seed.vectors, norms)]
     out = []
     for k in range(1, n + 1):
-        for i, u in enumerate(units):
-            w = m.apply(u)
-            s = math.hypot(*w)
+        for i, (x, y) in enumerate(units):
+            x, y = a * x + b * y, c * x + d * y  # Mat2.apply's expressions, bit for bit
+            s = hypot(x, y)
             if s == 0.0:
                 raise ValueError(f"seed vector {list(seed.vectors[i])} collapses to zero "
                                  f"at iterate {k}")
-            logs[i] += math.log(s)
-            units[i] = (w[0] / s, w[1] / s)
+            logs[i] += log(s)
+            units[i] = (x / s, y / s)
         out.append(_logsumexp(logs) / k)
     return out
 
@@ -177,7 +179,7 @@ def initial_mass_decay(values: list[float]) -> bool:
 
 def _logsumexp(values) -> float:
     hi = max(values)
-    return hi + math.log(math.fsum(math.exp(v - hi) for v in values))
+    return hi + math.log(math.fsum([math.exp(v - hi) for v in values]))
 
 
 def h_coordinate(m: Mat2) -> complex:

@@ -18,8 +18,9 @@ float bound, or ``is`` with a bool bound for an exact fact.  Every
 tolerance lives in the bound: an equality is ``|x - c| <= tol``.
 ``build_fixture`` alone turns records into verdicts, through
 ``RELATIONS``, so a NaN value fails every relation.  The fixture passes
-when every check holds, and a failed one lists the names of its false
-checks in ``details["failed_checks"]``.
+when every check holds and its report holds no NaN or infinity, and a
+failed one lists the names of its false checks, or ``FINITE_CHECK``, in
+``details["failed_checks"]``.
 """
 
 from __future__ import annotations
@@ -466,12 +467,26 @@ FIXTURES: dict[str, tuple[str, object]] = {
 
 RELATIONS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
              "is": operator.is_}
+FINITE_CHECK = "every reported value finite"
+
+
+def null_non_finite(value):
+    """A JSON value with each NaN and infinity in it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, list):
+        return [null_non_finite(v) for v in value]
+    if isinstance(value, dict):
+        return {k: null_non_finite(v) for k, v in value.items()}
+    return value
 
 
 def build_fixture(fid: str, seed: int = 0, resolution: int = 512) -> FixtureResult:
     """Run one fixture: a check holds when ``RELATIONS[relation](value,
     bound)`` does, the fixture passes when every check holds, and a failed
-    one lists its false checks in ``details["failed_checks"]``.
+    one lists its false checks in ``details["failed_checks"]``.  One whose
+    checks all hold still fails, by ``FINITE_CHECK`` alone, when its
+    details or certificates hold a NaN or an infinity.
     Unexpected errors become a failed result rather than aborting the
     suite."""
     claim, builder = FIXTURES[fid]
@@ -479,6 +494,10 @@ def build_fixture(fid: str, seed: int = 0, resolution: int = 512) -> FixtureResu
         details, checks, certificates = builder(seed, resolution)
         failed = [name for name, value, relation, bound in checks
                   if not RELATIONS[relation](value, bound)]
+        if not failed:  # +inf passes ">=", and some values feed no check
+            report = metriclab.as_jsonable([details, certificates])
+            if null_non_finite(report) != report:  # nulling replaced a NaN or an inf
+                failed = [FINITE_CHECK]
     except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
         return FixtureResult(fid, claim, False,
                              {"error": type(exc).__name__, "message": str(exc)})

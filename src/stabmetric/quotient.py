@@ -29,12 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverDiverged
-from .stabmodel import KroneckerPoint, d_B_closed, random_region_vector
+from .stabmodel import KroneckerPoint, d_B_closed, random_region_vector, sup_abs
 
 
 def dprime(x, y) -> float:
     """Sup distance on R^4."""
-    return max(abs(a - b) for a, b in zip(x, y))
+    return sup_abs(a - b for a, b in zip(x, y))
 
 
 def r4_act(x, lam: complex) -> tuple[float, float, float, float]:
@@ -69,7 +69,7 @@ def quot_dist_closed(xbar: QuotPoint, ybar: QuotPoint) -> float:
     representatives have d1 = d2 = 0."""
     d3 = ybar.rep[2] - xbar.rep[2]
     d4 = ybar.rep[3] - xbar.rep[3]
-    return max(abs(d3), abs(d4)) / 2.0
+    return sup_abs((d3, d4)) / 2.0
 
 
 def quot_minimizer(x, y) -> complex:
@@ -214,7 +214,7 @@ def kron_quot_closed(p: KroneckerPoint, q: KroneckerPoint) -> float:
     d = [a - b for a, b in zip(p.x, q.x)]
     re = 0.5 * (d[0] + d[2])
     im = math.pi * ((d[1] + d[3]) / (2.0 * math.pi))
-    return max(abs((b + s) - a) for a, b, s in zip(p.x, q.x, (re, im, re, im)))
+    return sup_abs((b + s) - a for a, b, s in zip(p.x, q.x, (re, im, re, im)))
 
 
 @dataclass(frozen=True)

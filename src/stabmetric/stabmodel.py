@@ -152,9 +152,16 @@ def hn_profile(p: KroneckerPoint, c: ObjectClass) -> HNProfile:
     return HNProfile(tuple(factors), mass, factors[0].phase, factors[-1].phase)
 
 
+def sup_abs(values) -> float:
+    """max |v| over the values, and NaN when one of them is NaN: Python's
+    max keeps a NaN only in first place, so every sup-metric takes this."""
+    mags = [abs(v) for v in values]
+    return math.nan if any(map(math.isnan, mags)) else max(mags)
+
+
 def d_B_closed(p: KroneckerPoint, q: KroneckerPoint) -> float:
     """Bridgeland distance between two points of the strip: max_j |x_j - y_j|."""
-    return max(abs(a - b) for a, b in zip(p.x, q.x))
+    return sup_abs(a - b for a, b in zip(p.x, q.x))
 
 
 def d_B_sampled(p: KroneckerPoint, q: KroneckerPoint, K: int) -> float:
@@ -173,11 +180,10 @@ def d_B_sampled(p: KroneckerPoint, q: KroneckerPoint, K: int) -> float:
     if K < 1:
         raise ValueError("K must be at least 1")
     prof_p, prof_q = (hn_profile(r, ObjectClass(1, 1)) for r in (p, q))
-    pure = max(abs(prof_p.phi_plus - prof_q.phi_plus), abs(prof_p.phi_minus - prof_q.phi_minus),
-               abs(p.x[1] - q.x[1]), abs(p.x[3] - q.x[3]))
     log_k = np.log(np.arange(1, K + 1, dtype=float))
     mixed = np.abs(_log_masses(log_k, p) - _log_masses(log_k, q)).max()
-    return max(pure, float(mixed))
+    return sup_abs((prof_p.phi_plus - prof_q.phi_plus, prof_p.phi_minus - prof_q.phi_minus,
+                    p.x[1] - q.x[1], p.x[3] - q.x[3], float(mixed)))
 
 
 def _log_masses(log_k: np.ndarray, p: KroneckerPoint) -> np.ndarray:
@@ -213,7 +219,7 @@ def c_orbit_distance(lam, lam2) -> float:
     """Induced metric on any translation orbit: max{|Re|, pi |Im|} of the
     parameter difference."""
     z = complex(lam) - complex(lam2)
-    return max(abs(z.real), math.pi * abs(z.imag))
+    return sup_abs((z.real, math.pi * z.imag))
 
 
 def random_region_point(rng) -> KroneckerPoint:

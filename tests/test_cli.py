@@ -7,11 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stabmetric import dynamics, metriclab, quotient
-from stabmetric.cli import main
-from stabmetric.fixtures import FIXTURES
+from stabmetric.cli import ENV_SEED, build_parser, main
+from stabmetric.fixtures import FINITE_CHECK, FIXTURES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -80,6 +81,18 @@ class TestQuotientDist:
         payload = json.loads(out)
         assert code == 0
         assert payload["closed_form"] == payload["solver"] == 0.25
+
+    @pytest.mark.parametrize("p, q", [
+        ("[0,-1e308,0,1e308]", "[0,-1e308,0,1.5e308]"),
+        ("[-1e308,0,1e308,0]", "[-1e308,0,1.5e308,0]"),
+    ])
+    def test_nan_closed_form_exits_2(self, capsys, p, q):
+        # each representative overflows to inf, so one coordinate of the
+        # closed form's difference is inf - inf = NaN, whichever it is
+        code, out, err = run(capsys, "quotient-dist", p, q)
+        assert code == 2
+        assert out == ""
+        assert set(json.loads(err)) == {"error", "message"}
 
 
 class TestHN:
@@ -293,6 +306,34 @@ class TestFixturesCommand:
         assert code == 1
         assert result["passed"] is False
         assert result["details"] == {"value": 1.0, "failed_checks": ["b"]}
+
+    def test_nan_detail_is_null_and_exits_1(self, capsys, monkeypatch):
+        # a solver that returns NaN fails the fixture; the report still comes out
+        monkeypatch.setattr(quotient, "quot_dist_pairs",
+                            lambda sigma, tau, *args: np.full(len(sigma), np.nan))
+        code, out, err = run(capsys, "fixtures", "--filter", "quotient-closed")
+        [result] = json.loads(out, parse_constant=pytest.fail)["results"]
+        assert code == 1
+        assert err == ""
+        assert result["passed"] is False
+        assert result["details"]["failed_checks"] == [
+            "max_solver_deviation <= 1e-6", "same_orbit_distance <= 1e-9"]
+        assert result["details"]["max_solver_deviation"] is None
+        assert result["details"]["same_orbit_distance"] is None
+
+    def test_inf_detail_fails_its_fixture_and_exits_1(self, capsys, monkeypatch):
+        # +inf passes `min_grid_margin >= 0`, but a report with it does not pass
+        monkeypatch.setattr(dynamics, "displacement_grid",
+                            lambda f, x, y: np.full(np.shape(x), np.inf))
+        code, out, err = run(capsys, "fixtures", "--filter", "translation-length")
+        payload = json.loads(out, parse_constant=pytest.fail)
+        [result] = payload["results"]
+        assert code == 1
+        assert err == ""
+        assert payload["all_passed"] is False
+        assert result["passed"] is False
+        assert result["details"]["failed_checks"] == [FINITE_CHECK]
+        assert result["details"]["min_grid_margin"] is None
 
     def test_coarse_resolution_names_failed_checks(self, capsys):
         code, out, _ = run(capsys, "fixtures", "--filter", "nonunique", "--resolution", "1")
@@ -673,6 +714,45 @@ class TestInputBoundary:
         payload = self.error(capsys, "dist", "--model", "corbit", nested, "0")
         assert payload == {"error": "ValueError",
                            "message": "invalid JSON for first point: nested too deeply"}
+
+
+class TestCachedParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_parse_state_carries_over(self, capsys, monkeypatch, tmp_path):
+        # each call in this process prints what a fresh process prints
+        monkeypatch.delenv(ENV_SEED, raising=False)
+        report = tmp_path / "report.json"
+        vertices = "[[0,0,0,0],[2,0,2,0],[1,1,1,1]]"
+        calls = [
+            ("cat0-check", "--model", "r4", "--resolution", "16", "--vertices", vertices,
+             "--seed", "5"),
+            ("cat0-check", "--model", "r4", "--resolution", "16", "--vertices", vertices),
+            ("fixtures", "--timings", "--out", str(report)),
+            ("fixtures",),
+            ("dist", "--model", "bogus", "0", "1"),
+            ("pa", "--matrix", "[[2,1],[1,1]]"),
+        ]
+        seen = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            here = capsys.readouterr()
+            written = report.read_text() if report.exists() else None
+            report.unlink(missing_ok=True)
+            fresh = subprocess.run([sys.executable, "-m", "stabmetric.cli", *argv],
+                                   capture_output=True, text=True)
+            assert (code, here.out) == (fresh.returncode, fresh.stdout), argv
+            if "--timings" not in argv:  # the timings are wall-clock
+                assert here.err == fresh.stderr, argv
+            assert written == (report.read_text() if report.exists() else None), argv
+            report.unlink(missing_ok=True)
+            seen.append((code, here.out))
+        assert seen[0][1] != seen[1][1]  # the report names its seed, 5 then 0
+        assert seen[4] == (2, "")
 
 
 class TestPackageRoot:

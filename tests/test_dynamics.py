@@ -286,6 +286,56 @@ class TestHalfPlane:
                 assert value == pytest.approx(scalar, rel=1e-14, abs=1e-15)
 
 
+def reference_mass_growth(m, seed, n):
+    """Reference for ``mass_growth_estimate``: the loop through ``m.apply``
+    and the module-level ``math`` functions that it inlines."""
+    norms = [math.hypot(*v) for v in seed.vectors]
+    logs = [math.log(s) for s in norms]
+    units = [(v[0] / s, v[1] / s) for v, s in zip(seed.vectors, norms)]
+    out = []
+    for k in range(1, n + 1):
+        for i, u in enumerate(units):
+            w = m.apply(u)
+            s = math.hypot(*w)
+            if s == 0.0:
+                raise ValueError(f"seed vector {list(seed.vectors[i])} collapses to zero "
+                                 f"at iterate {k}")
+            logs[i] += math.log(s)
+            units[i] = (w[0] / s, w[1] / s)
+        hi = max(logs)
+        out.append((hi + math.log(math.fsum(math.exp(v - hi) for v in logs))) / k)
+    return out
+
+
+class TestMassGrowthReference:
+    @pytest.mark.parametrize("m", [FIB, Mat2.identity(), Autoeq(-5, 2, 2, -1),
+                                   Mat2(0.5, -1.25, 0.75, 2.0)])
+    @pytest.mark.parametrize("vectors", [
+        ((1.0, 0.0),),
+        ((0.3, 0.7), (-1.0, 2.0)),
+        ((1.0, 0.0), (3.0, -4.0), (1e-300, 2.5)),
+    ])
+    def test_bit_for_bit(self, m, vectors):
+        seed = MassSeed(vectors)
+        assert mass_growth_estimate(m, seed, 2000) == reference_mass_growth(m, seed, 2000)
+
+    @pytest.mark.parametrize("m, vectors, message", [
+        (Mat2(1.0, 1.0, 1.0, 1.0), ((1.0, -1.0),),
+         "seed vector [1.0, -1.0] collapses to zero at iterate 1"),
+        (Mat2(0.0, 1.0, 0.0, 0.0), ((1.0, 2.0), (0.0, 1.0), (3.0, 0.0)),
+         "seed vector [3.0, 0.0] collapses to zero at iterate 1"),
+        (Mat2(0.0, 1.0, 0.0, 0.0), ((0.0, 1.0),),
+         "seed vector [0.0, 1.0] collapses to zero at iterate 2"),
+    ])
+    def test_collapse_message(self, m, vectors, message):
+        seed = MassSeed(vectors)
+        with pytest.raises(ValueError) as reference:
+            reference_mass_growth(m, seed, 10)
+        with pytest.raises(ValueError) as inlined:
+            mass_growth_estimate(m, seed, 10)
+        assert str(inlined.value) == str(reference.value) == message
+
+
 class TestMassGrowth:
     def test_unit_seed_converges(self):
         values = mass_growth_estimate(FIB, MassSeed.of((1.0, 0.0)), 200)

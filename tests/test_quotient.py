@@ -54,6 +54,13 @@ class TestDPrime:
                 dprime(x, y), abs=1e-12
             )
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_nan_in_any_coordinate(self, k):
+        x = [0.0] * 4
+        x[k] = math.nan
+        assert math.isnan(dprime(x, (0.0, 0.0, 0.0, 0.0)))
+        assert math.isnan(dprime((0.0, 0.0, 0.0, 0.0), x))
+
 
 class TestQuotPoint:
     def test_canonical_representative(self):
@@ -104,6 +111,19 @@ class TestClosedForm:
         a = QuotPoint.from_vector((0, 0, 0, 0))
         b = QuotPoint.from_vector((0, 0, 1, 0))
         assert quot_dist_closed(a, b) == 0.5
+
+    @pytest.mark.parametrize("rep", [(0.0, 0.0, math.nan, 0.0), (0.0, 0.0, 0.0, math.nan)])
+    def test_nan_in_either_coordinate(self, rep):
+        zero = QuotPoint((0.0, 0.0, 0.0, 0.0))
+        assert math.isnan(quot_dist_closed(QuotPoint(rep), zero))
+        assert math.isnan(quot_dist_closed(zero, QuotPoint(rep)))
+
+    def test_kronecker_nan_is_kept(self):
+        # the transported minimizer's Im part is (inf - inf) / 2pi = NaN, while
+        # the first coordinate's difference is 0
+        p = KroneckerPoint((0.0, 1e308, 0.5, -1e308))
+        q = KroneckerPoint((0.0, -1e308, 0.5, 1e308))
+        assert math.isnan(kron_quot_closed(p, q))
 
     def test_metric_axioms(self):
         rng = np.random.default_rng(3)

@@ -20,6 +20,7 @@ from stabmetric.stabmodel import (
     d_B_sampled,
     hn_profile,
     random_region_point,
+    sup_abs,
     support_constant,
 )
 
@@ -276,6 +277,28 @@ class TestSupportConstant:
             assert support_constant(p) == pytest.approx(1.0, abs=1e-15)
 
 
+class TestSupAbs:
+    @pytest.mark.parametrize("k", range(4))
+    def test_nan_anywhere_is_kept(self, k):
+        values = [0.0, -1.0, 2.0, 0.5]
+        values[k] = math.nan
+        assert math.isnan(sup_abs(values))
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=6))
+    def test_finite_values_as_max(self, values):
+        assert sup_abs(values) == max(abs(v) for v in values)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_metric_keeps_nan(self, k):
+        # inf - inf is NaN in one log-modulus; the phase differences are 0
+        x = [0.0, 0.0, 0.5, 0.0]
+        x[k] = math.inf
+        p = KroneckerPoint(tuple(x))
+        assert math.isnan(d_B_closed(p, p))
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(d_B_sampled(p, p, 3))
+
+
 class TestOrbitDistance:
     def test_real_translation(self):
         assert c_orbit_distance(0, 1) == 1.0
@@ -291,6 +314,11 @@ class TestOrbitDistance:
         assert c_orbit_distance(complex(0.0, 0.5), complex(0.0, 0.0)) == pytest.approx(
             math.pi / 2, abs=1e-15
         )
+
+    @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(0.0, math.inf)])
+    def test_nan_difference_is_kept(self, z):
+        # inf - inf is NaN in one part; the other part's difference is 0
+        assert math.isnan(c_orbit_distance(z, z))
 
     @settings(max_examples=80, deadline=None)
     @given(
