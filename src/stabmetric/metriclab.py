@@ -11,6 +11,13 @@ certify non-unique geodesics.  A certificate stores the witnesses, the margin, a
 sampling parameters, so a second implementation can re-derive the
 margin from the same data.
 
+On a linear sup-space the CAT(0) and slimness scans first bound, in
+floats, the distances between tiles of 64 samples from the handle's
+``proj`` and ``weights``, and skip the tiles that cannot hold the
+answer.  Rounding is monotone, so the bounds hold for the computed
+distances themselves, and witnesses, margins and the first index among
+ties are those of the full scans.
+
 Every bundled space but the Euclidean plane is one linear sup-space:
 coordinates x in R^n, straight lines as geodesics, and the metric
 max_k w_k |L_k (x - y)| (``linear_sup_space``); ``dist`` stays each
@@ -42,9 +49,14 @@ SLIM_VIOLATION = "slim-violation"
 NONUNIQUE_GEODESIC = "nonunique-geodesic"
 _SIDE_NAMES = ("xy", "yz", "zx")
 _BLOCK_CELLS = 1 << 16  # cells per scanned row block; 512 KiB of floats stays in cache
+_TILE = 64  # samples per tile side in the bounded scans of linear sup-spaces
 _ADDITIVITY_TOL = 1e-12  # non-unique geodesic: |d(x,z) + d(z,y) - d(x,y)| bound
 _CLEARANCE_TOL = 1e-9  # non-unique geodesic: least distance of z from [x, y]
-MAX_RESOLUTION = 8192  # 4x the largest benchmarked resolution; cat0_check takes seconds here
+# 4x the largest benchmarked resolution.  On a 2-core Xeon, cat0_check on the
+# corbit-cat0-violation triangle takes 20-35 ms here (the half scan took 4.0-4.7 s);
+# a triangle whose tiles the bounds cannot rule out, such as a thin one, still takes
+# about 4 s.
+MAX_RESOLUTION = 8192
 
 
 def straight_path(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -63,6 +75,9 @@ class SpaceHandle:
     ``path(a, b, ts)`` samples the geodesic from coordinates a to b at
     the parameters ts in [0, 1], one row per parameter.  ``dist`` is the
     model's own closed form on points, which ``pairwise`` reproduces.
+    A linear sup-space also carries its (n, m) projection ``proj`` and
+    its m ``weights``: ``pairwise`` is then max_k w_k |((A - B) proj)_k|,
+    and the scans bound it on tiles.  Every other handle leaves both None.
     """
 
     name: str
@@ -71,6 +86,8 @@ class SpaceHandle:
     encode: Callable
     decode: Callable
     path: Callable = straight_path
+    proj: Optional[np.ndarray] = field(default=None, compare=False)
+    weights: Optional[np.ndarray] = field(default=None, compare=False)
 
     def coords(self, *points) -> np.ndarray:
         """The (N, n) coordinate array of the given points."""
@@ -212,9 +229,17 @@ def cat0_check(space: SpaceHandle, x, y, z, *, resolution: int = 512,
 def _cat0_scan(space: SpaceHandle, pts: np.ndarray, carr: np.ndarray) -> tuple:
     """The first maximum in row-major order of d(p_i, p_j) - |c_i - c_j| over
     the sampled points p and their comparison points c, as (margin, i, j,
-    space distance, comparison distance).  Both matrices are exactly
-    symmetric, so that cell lies in the upper block triangle, and only
-    that triangle is scanned: row block ``rows`` against the columns
+    space distance, comparison distance): from the tiles that can still
+    hold it on a linear sup-space, from the upper block triangle otherwise."""
+    a = _projected(space, pts, carr)
+    found = None if a is None else _tiled_cat0_scan(space, pts, carr, a)
+    return _half_cat0_scan(space, pts, carr) if found is None else found
+
+
+def _half_cat0_scan(space: SpaceHandle, pts: np.ndarray, carr: np.ndarray) -> tuple:
+    """``_cat0_scan`` on any handle.  Both matrices are exactly symmetric,
+    so the first maximum lies in the upper block triangle, and only that
+    triangle is scanned: row block ``rows`` against the columns
     ``rows.start:``."""
     best = None
     for rows in _row_blocks(len(pts), len(pts)):
@@ -229,12 +254,72 @@ def _cat0_scan(space: SpaceHandle, pts: np.ndarray, carr: np.ndarray) -> tuple:
     return best
 
 
+def _tiled_cat0_scan(space: SpaceHandle, pts: np.ndarray, carr: np.ndarray,
+                     a: np.ndarray) -> Optional[tuple]:
+    """``_cat0_scan`` on a linear sup-space with projected samples a.
+
+    Each pair of tiles gets a float bound on its violations: the tile
+    bound on d minus a lower bound on the comparison distance, the
+    hypot of the box gaps less 1e-12 of it, since numpy's complex
+    ``abs`` is a hypot to a few ulp.  The tile with the largest bound
+    is scanned first, and its largest violation L is one the answer
+    reaches: a tile whose bound is a number below L cannot hold the
+    first maximum.  The row blocks of ``_half_cat0_scan`` that meet a
+    kept tile are scanned against the columns of their kept tiles in the
+    upper tile triangle.  On a NaN violation, which the scan order would
+    pick, it returns None."""
+    tiles = _Tiles(len(pts), len(pts))
+    bound = tiles.sup_bounds(a, space.weights)[0]
+    cbox = tiles.boxes(np.column_stack((carr.real, carr.imag)))
+    e_lo = np.hypot(tiles.spreads(cbox, 0)[1], tiles.spreads(cbox, 1)[1])
+    # a few ulp are relatively small for normal numbers; 0 bounds the rest
+    bound -= np.where(e_lo > 1e-300, e_lo * (1.0 - 1e-12), 0.0)
+
+    def scan(rows, cols):
+        dmat = space.pairwise(pts[rows], pts[cols])
+        emat = np.abs(carr[rows, None] - carr[None, cols])
+        viol = dmat - emat
+        i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        j_all = cols.start + j if isinstance(cols, slice) else int(cols[j])
+        return float(viol[i, j]), rows.start + i, j_all, float(dmat[i, j]), float(emat[i, j])
+
+    first = np.unravel_index(int(np.argmax(np.where(np.isnan(bound), -np.inf, bound))),
+                             bound.shape)
+    floor = scan(tiles.rows(first[0]), tiles.cols(np.arange(len(tiles.starts)) == first[1]))[0]
+    if math.isnan(floor):
+        return None
+    keep = np.triu(~(bound < floor))
+    blocks = _row_blocks(len(pts), len(pts))
+    live = np.repeat(keep.any(axis=1), tiles.stops - tiles.starts)
+    best = None
+    for b in np.flatnonzero(np.logical_or.reduceat(live, [rows.start for rows in blocks])):
+        rows = blocks[b]
+        found = scan(rows, tiles.cols(keep[rows.start // _TILE:(rows.stop - 1) // _TILE + 1]
+                                      .any(axis=0)))
+        if math.isnan(found[0]):
+            return None
+        if best is None or found[0] > best[0]:
+            best = found
+    return best
+
+
 def _slim_scan(space: SpaceHandle, sampled: list) -> list:
     """For each sampled side, the distances of its samples to the samples
-    of the other two sides.  The matrix of side k against side k + 1 is
-    scanned once: its row minima are side k's distances to side k + 1,
-    and its column minima side k + 1's distances to side k, since
-    pairwise(B, A) is pairwise(A, B) transposed."""
+    of the other two sides: on a linear sup-space only where they can
+    reach the largest such distance, -inf elsewhere."""
+    n = len(sampled[0])
+    pts = np.concatenate(sampled)
+    a = _projected(space, pts)
+    mins = None if a is None else _tiled_slim_scan(space, pts, n, a)
+    return _half_slim_scan(space, sampled) if mins is None else mins
+
+
+def _half_slim_scan(space: SpaceHandle, sampled: list) -> list:
+    """``_slim_scan`` on any handle, every distance exact.  The matrix of
+    side k against side k + 1 is scanned once: its row minima are side
+    k's distances to side k + 1, and its column minima side k + 1's
+    distances to side k, since pairwise(B, A) is pairwise(A, B)
+    transposed."""
     n = len(sampled[0])
     to_next, to_prev = [], []
     for k in range(3):
@@ -246,6 +331,120 @@ def _slim_scan(space: SpaceHandle, sampled: list) -> list:
         to_next.append(np.concatenate(row_mins))
         to_prev.append(col_mins)
     return [np.minimum(to_next[k], to_prev[k - 1]) for k in range(3)]
+
+
+def _tiled_slim_scan(space: SpaceHandle, pts: np.ndarray, n: int,
+                     a: np.ndarray) -> Optional[list]:
+    """``_slim_scan`` on a linear sup-space, with the n samples of each side
+    one after the other in pts and projected in a.
+
+    Tiles do not straddle sides.  A tile's ``reach``, its least upper
+    bound against the tiles of the other sides, bounds the distance of
+    each of its samples from those sides.  The tile of largest reach is
+    scanned first, and the largest distance L among its samples is one
+    the answer reaches: a tile whose reach is a number below L is
+    skipped, and the others are scanned against just the tiles whose
+    lower bound does not exceed their reach, which hold every least
+    distance.  A NaN bound, which only a zero weight times an infinite
+    difference gives, returns None."""
+    tiles = _Tiles(len(pts), n)
+    upper, lower = tiles.sup_bounds(a, space.weights)
+    side = tiles.starts // n
+    same = side[:, None] == side[None, :]
+    upper[same] = np.inf
+    reach = upper.min(axis=1)
+    if np.isnan(reach).any():
+        return None
+    candidates = ~(lower > reach[:, None]) & ~same
+
+    def scan(t):
+        cols = tiles.cols(candidates[t])
+        return np.concatenate([space.pairwise(pts[rows], pts[cols]).min(axis=1)
+                               for rows in tiles.row_blocks(t, 2 * n)])
+
+    first = int(np.argmax(reach))
+    first_mins = scan(first)
+    floor = np.max(first_mins)
+    mins = np.full(len(pts), -np.inf)
+    for t in np.flatnonzero(~(reach < floor)):
+        mins[tiles.rows(t)] = first_mins if t == first else scan(t)
+    return [mins[k * n:(k + 1) * n] for k in range(3)]
+
+
+def _projected(space: SpaceHandle, pts: np.ndarray, *extra: np.ndarray) -> Optional[np.ndarray]:
+    """The samples ``pts @ space.proj`` that the tiled scans bound, or None
+    where bounds do not hold: a handle without ``proj``, a negative or
+    NaN weight, or a sample coordinate (of pts, the projection, or
+    ``extra``) that is not finite."""
+    if space.proj is None or not np.all(space.weights >= 0.0):
+        return None
+    a = pts @ space.proj
+    return a if all(np.isfinite(x).all() for x in (pts, a, *extra)) else None
+
+
+class _Tiles:
+    """The samples 0..n-1 cut into tiles of _TILE consecutive samples, which
+    start afresh every ``period`` samples (n is a multiple of it), and
+    the bounds of the tiled scans on the (tiles, tiles) grid.
+
+    The bounds hold exactly in floats: rounding is monotone, so for x in
+    box I and y in box J the computed |x_k - y_k| lies between the
+    computed differences of the boxes' corners, and so does its product
+    with w_k >= 0.  This needs ``pairwise`` on row slices to equal the
+    slices of ``pairwise``, as it is on the bundled projections."""
+
+    def __init__(self, n: int, period: int):
+        self.starts = np.concatenate([np.arange(s, s + period, _TILE)
+                                      for s in range(0, n, period)])
+        self.stops = np.minimum(self.starts + _TILE, (self.starts // period + 1) * period)
+        self._index = self.starts[:, None] + np.arange(_TILE)
+        self._inside = self._index < self.stops[:, None]
+
+    def rows(self, t: int) -> slice:
+        """The samples of tile t."""
+        return slice(int(self.starts[t]), int(self.stops[t]))
+
+    def cols(self, mask: np.ndarray):
+        """The samples of the tiles in a nonempty boolean mask, in order: a
+        slice where the tiles are one run, so that selecting them copies
+        nothing, an index array otherwise."""
+        t = np.flatnonzero(mask)
+        if t[-1] - t[0] == len(t) - 1:
+            return slice(int(self.starts[t[0]]), int(self.stops[t[-1]]))
+        return self._index[mask][self._inside[mask]]
+
+    def row_blocks(self, t: int, n_cols: int) -> list:
+        """Tile t's rows in blocks of the row step ``_row_blocks`` takes
+        against n_cols columns."""
+        step = max(1, _BLOCK_CELLS // n_cols)
+        rows = self.rows(t)
+        return [slice(r, min(r + step, rows.stop)) for r in range(rows.start, rows.stop, step)]
+
+    def boxes(self, a: np.ndarray) -> tuple:
+        """Each tile's coordinatewise least and greatest value of a."""
+        return np.minimum.reduceat(a, self.starts), np.maximum.reduceat(a, self.starts)
+
+    def spreads(self, box: tuple, k: int) -> tuple:
+        """Bounds on |x_k - y_k| in floats for x in tile I and y in tile J:
+        max(hi_I - lo_J, hi_J - lo_I) above and the box gap
+        max(lo_J - hi_I, lo_I - hi_J, 0) below, as two (tiles, tiles)
+        arrays."""
+        lo, hi = box
+        f = np.subtract.outer(hi[:, k], lo[:, k])
+        return np.maximum(f, f.T), np.maximum(-np.minimum(f, f.T), 0.0)
+
+    def sup_bounds(self, a: np.ndarray, weights: np.ndarray) -> tuple:
+        """Upper and lower bounds on every ``pairwise`` cell between the
+        tiles I and J of the projected samples a."""
+        box = self.boxes(a)
+        upper = lower = None
+        for k, wk in enumerate(weights):
+            up, gap = self.spreads(box, k)
+            up *= wk
+            gap *= wk
+            upper = up if upper is None else np.maximum(upper, up, out=upper)
+            lower = gap if lower is None else np.maximum(lower, gap, out=lower)
+        return upper, lower
 
 
 def _dist_to_side(space: SpaceHandle, point: np.ndarray, a: np.ndarray, b: np.ndarray,
@@ -425,7 +624,8 @@ def linear_sup_space(name: str, dist: Callable, rows, weights, encode: Callable,
             out = d if out is None else np.maximum(out, d, out=out)
         return out
 
-    return SpaceHandle(name=name, dist=dist, pairwise=pairwise, encode=encode, decode=decode)
+    return SpaceHandle(name=name, dist=dist, pairwise=pairwise, encode=encode, decode=decode,
+                       proj=proj, weights=w)
 
 
 _I4 = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))

@@ -2,7 +2,9 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
+from operator import attrgetter
 from unittest import mock
 
 import numpy as np
@@ -405,13 +407,15 @@ _VERTEX = st.tuples(_COORD, _COORD, _COORD, _COORD)
 
 
 class TestScanReferences:
-    """Each symmetric distance pair is scanned once; the certificates and
-    deviations are those of the full scans, bit for bit."""
+    """The scans skip the tiles of a linear sup-space that float bounds rule
+    out, and scan each symmetric distance pair of the rest once; the
+    certificates and deviations are those of the full scans, bit for
+    bit.  Tiles of 1 and 3 samples make small resolutions prune."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 5), st.integers(1, 64), st.tuples(_VERTEX, _VERTEX, _VERTEX),
-           st.sampled_from((1, 7 * 123, metriclab._BLOCK_CELLS)))
-    def test_half_scans_equal_full_scans(self, index, resolution, vertices, cells):
+           st.sampled_from((1, 7 * 123, metriclab._BLOCK_CELLS)), st.sampled_from((1, 3, 64)))
+    def test_half_scans_equal_full_scans(self, index, resolution, vertices, cells, tile):
         space = _all_handles()[index]
         x, y, z = (_model_point(space, v) for v in vertices)
 
@@ -420,7 +424,8 @@ class TestScanReferences:
                                                 tol=-1.0)),
                     _outcome(lambda: slim_check(space, x, y, z, 1e-3, resolution=resolution)))
 
-        with mock.patch.object(metriclab, "_BLOCK_CELLS", cells):
+        with mock.patch.object(metriclab, "_BLOCK_CELLS", cells), \
+                mock.patch.object(metriclab, "_TILE", tile):
             half = run()
             deviation = _outcome(lambda: geodesic_deviation(space, x, z, resolution=resolution))
         with mock.patch.object(metriclab, "_cat0_scan", full_cat0_scan), \
@@ -438,6 +443,154 @@ class TestScanReferences:
         mat = space.pairwise(a, a)
         assert np.array_equal(mat, mat.T)
         assert np.array_equal(space.pairwise(a, b), space.pairwise(b, a).T)
+
+
+def _full_outcomes(space, x, y, z, resolution):
+    """cat0_check and slim_check outcomes from the full reference scans."""
+    with mock.patch.object(metriclab, "_cat0_scan", full_cat0_scan), \
+            mock.patch.object(metriclab, "_slim_scan", six_matrix_slim_scan):
+        return (_outcome(lambda: cat0_check(space, x, y, z, resolution=resolution, tol=-1.0)),
+                _outcome(lambda: slim_check(space, x, y, z, 1e-3, resolution=resolution)))
+
+
+class TestTiledScanFallbacks:
+    """Where the tile bounds do not hold, or a NaN makes the pick depend on
+    the scan order, the scans keep the results of the full scans."""
+
+    @pytest.mark.parametrize("tile", [1, 3])
+    def test_euclidean_plane_has_no_projection(self, tile):
+        space = euclidean_plane()
+        assert space.proj is None and space.weights is None
+        tiled = mock.Mock(side_effect=AssertionError("tiled scan on a handle without proj"))
+        x, y, z = 0j, 1 + 0.25j, 0.5 + 0.75j
+        with mock.patch.object(metriclab, "_TILE", tile), \
+                mock.patch.object(metriclab, "_tiled_cat0_scan", tiled), \
+                mock.patch.object(metriclab, "_tiled_slim_scan", tiled):
+            outcomes = (_outcome(lambda: cat0_check(space, x, y, z, resolution=20, tol=-1.0)),
+                        _outcome(lambda: slim_check(space, x, y, z, 1e-3, resolution=20)))
+        assert outcomes == _full_outcomes(space, x, y, z, 20)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tile", [1, 3])
+    @pytest.mark.parametrize("vertices", [
+        (-1e308 + 0j, 1e308 + 0j, 0.5e308j),
+        (-0.9e308 + 0j, 0.95e308 + 1j, 0.5e308 + 0.5e308j),
+        (-1e308 - 1e308j, 1.0 + 0j, 1e308 + 1e308j),
+        (0j, 1.7e308 + 0j, 0.6e308j),
+    ])
+    def test_c_orbit_near_overflow(self, tile, vertices):
+        space = c_orbit_space()
+        ts = metriclab.sample_params(16)
+        pts = np.concatenate([space.path(a, b, ts)
+                              for a, b in metriclab._sides(space.coords(*vertices))])
+        # the coordinates are finite, but their distances overflow
+        assert np.isfinite(pts).all() and np.isinf(space.pairwise(pts, pts)).any()
+        with mock.patch.object(metriclab, "_TILE", tile):
+            outcomes = (_outcome(lambda: cat0_check(space, *vertices, resolution=16, tol=-1.0)),
+                        _outcome(lambda: slim_check(space, *vertices, 1e-3, resolution=16)))
+        assert outcomes == _full_outcomes(space, *vertices, 16)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tile", [1, 3])
+    def test_nan_bound(self, tile):
+        space = c_orbit_space()
+        # infinite space and comparison distances between the first two
+        # tiles: a NaN bound, and NaN violations inside it
+        pts = np.array([[-1e308, 0.0]] * 3 + [[1e308, 0.0]] * 3 + [[0.0, 0.25], [0.5, 0.0]])
+        carr = pts[:, 0] + 1j * pts[:, 1]
+        with mock.patch.object(metriclab, "_TILE", tile):
+            a = metriclab._projected(space, pts, carr)
+            assert a is not None
+            assert metriclab._tiled_cat0_scan(space, pts, carr, a) is None
+            got = metriclab._cat0_scan(space, pts, carr)
+        assert math.isnan(got[0])
+        assert (json.dumps(metriclab.as_jsonable(got))
+                == json.dumps(metriclab.as_jsonable(full_cat0_scan(space, pts, carr))))
+
+        # a zero weight times an infinite difference: NaN distances and bounds
+        zero = metriclab.linear_sup_space("zero-weight", None, ((1, 0), (0, 1)), (1.0, 0.0),
+                                          encode=attrgetter("real", "imag"),
+                                          decode=lambda c: complex(*c))
+        x, y, z = 0j, 1 + 1e308j, 2 - 1e308j
+        ts = metriclab.sample_params(16)
+        pts = np.concatenate([zero.path(a, b, ts) for a, b in metriclab._sides(zero.coords(x, y, z))])
+        with mock.patch.object(metriclab, "_TILE", tile):
+            a = metriclab._projected(zero, pts)
+            assert a is not None
+            assert metriclab._tiled_slim_scan(zero, pts, len(ts), a) is None
+            got = _outcome(lambda: slim_check(zero, x, y, z, 1e-3, resolution=16))
+        with mock.patch.object(metriclab, "_slim_scan", six_matrix_slim_scan):
+            assert got == _outcome(lambda: slim_check(zero, x, y, z, 1e-3, resolution=16))
+
+    def test_negative_weight_is_not_bounded(self):
+        space = metriclab.linear_sup_space("negative", None, ((1, 0), (0, 1)), (1.0, -1.0),
+                                           encode=attrgetter("real", "imag"),
+                                           decode=lambda c: complex(*c))
+        assert metriclab._projected(space, np.zeros((4, 2))) is None
+
+
+def _counting(space):
+    """The handle with its pairwise counting the cells it computes."""
+    cells = [0]
+
+    def pairwise(A, B):
+        cells[0] += len(A) * len(B)
+        return space.pairwise(A, B)
+
+    return replace(space, pairwise=pairwise), cells
+
+
+# the c-orbit triangles of the corbit-cat0-violation and corbit-slim-violation
+# fixtures, which perfbench scales
+_CAT0_TRIANGLE = (0j, 2 + 0j, complex(1.0, 1.0 / math.pi))
+_SLIM_TRIANGLE = (0j, 4 + 0j, 4j / math.pi)
+
+
+class TestTiledScanCost:
+    """The pruning and the memory bound of the tiled scans, pinned."""
+
+    def test_scans_skip_most_cells(self):
+        resolution = 2048
+        n = resolution + 1
+        half_cat0 = sum(len(range(3 * n)[rows]) * (3 * n - rows.start)
+                        for rows in metriclab._row_blocks(3 * n, 3 * n))
+        space, cells = _counting(c_orbit_space())
+        cert = cat0_check(space, *_CAT0_TRIANGLE, resolution=resolution)
+        assert cert.margin == pytest.approx(1.0, rel=1e-7)
+        assert cells[0] < 0.05 * half_cat0
+
+        space, cells = _counting(c_orbit_space())
+        cert = slim_check(space, *_SLIM_TRIANGLE, 1.0, resolution=resolution)
+        assert cert.margin == pytest.approx(1.0, abs=1e-12)
+        assert cells[0] < 0.05 * 3 * n * n
+
+    def test_memory_bound_at_max_resolution(self):
+        space = c_orbit_space()
+        peaks = []
+        for check in (lambda: cat0_check(space, *_CAT0_TRIANGLE,
+                                         resolution=metriclab.MAX_RESOLUTION),
+                      lambda: slim_check(space, *_SLIM_TRIANGLE, 1.0,
+                                         resolution=metriclab.MAX_RESOLUTION)):
+            tracemalloc.start()
+            try:
+                assert check() is not None
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_pairwise_on_slices_is_sliced_pairwise(self, index):
+        # the tile bounds are exact because a cell does not depend on
+        # which other rows share its pairwise call
+        space = _all_handles()[index]
+        rng = np.random.default_rng([index, 20])
+        a, b = (space.coords(*(_model_point(space, tuple(rng.uniform(-3.0, 3.0, 4)))
+                               for _ in range(count))) for count in (70, 45))
+        whole = space.pairwise(a, b)
+        for s, t in ((slice(3, 17), slice(0, 45)), (slice(64, 70), slice(5, 29)),
+                     (rng.permutation(70)[:20], np.sort(rng.choice(45, 12, replace=False)))):
+            assert np.array_equal(space.pairwise(a[s], b[t]), whole[s][:, t])
 
 
 class TestAsJsonable:
