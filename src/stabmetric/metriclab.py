@@ -16,7 +16,10 @@ floats, the distances between tiles of 64 samples from the handle's
 ``proj`` and ``weights``, and skip the tiles that cannot hold the
 answer.  Rounding is monotone, so the bounds hold for the computed
 distances themselves, and witnesses, margins and the first index among
-ties are those of the full scans.
+ties are those of the full scans.  The geodesic check there projects its
+samples once and builds each row block with ``pairwise``'s own kernel in
+two buffers allocated once per call, so its deviations are the same
+floats.
 
 Every bundled space but the Euclidean plane is one linear sup-space:
 coordinates x in R^n, straight lines as geodesics, and the metric
@@ -48,14 +51,17 @@ CAT0_VIOLATION = "cat0-violation"
 SLIM_VIOLATION = "slim-violation"
 NONUNIQUE_GEODESIC = "nonunique-geodesic"
 _SIDE_NAMES = ("xy", "yz", "zx")
-_BLOCK_CELLS = 1 << 16  # cells per scanned row block; 512 KiB of floats stays in cache
+# cells per scanned row block: 512 KiB of floats, above the allocator's mmap threshold, so
+# each fresh block array takes new pages; the geodesic check reuses two such buffers
+_BLOCK_CELLS = 1 << 16
 _TILE = 64  # samples per tile side in the bounded scans of linear sup-spaces
 _ADDITIVITY_TOL = 1e-12  # non-unique geodesic: |d(x,z) + d(z,y) - d(x,y)| bound
 _CLEARANCE_TOL = 1e-9  # non-unique geodesic: least distance of z from [x, y]
 # 4x the largest benchmarked resolution.  On a 2-core Xeon, cat0_check on the
 # corbit-cat0-violation triangle takes 20-35 ms here (the half scan took 4.0-4.7 s);
 # a triangle whose tiles the bounds cannot rule out, such as a thin one, still takes
-# about 4 s.
+# about 4 s.  geodesic_deviation on a Kronecker pair takes 165-265 ms (560-660 ms with a
+# pairwise call per row block).
 MAX_RESOLUTION = 8192
 
 
@@ -559,9 +565,43 @@ def geodesic_deviation(space: SpaceHandle, x, y, *, resolution: int = 256) -> fl
     d_xy = space.dist(x, y)
     pts = space.path(*space.coords(x, y), ts)
     # both matrices are symmetric: the upper block triangle holds the maximum
-    return float(np.max([np.max(np.abs(space.pairwise(pts[rows], pts[rows.start:])
-                                       - np.abs(ts[rows, None] - ts[None, rows.start:]) * d_xy))
-                         for rows in _row_blocks(len(ts), len(ts))]))
+    blocks = _row_blocks(len(ts), len(ts))
+    if space.proj is None:
+        return float(np.max([np.max(np.abs(space.pairwise(pts[rows], pts[rows.start:])
+                                           - np.abs(ts[rows, None] - ts[None, rows.start:]) * d_xy))
+                             for rows in blocks]))
+    # a linear sup-space: the samples projected once, and each block built by
+    # pairwise's own kernel in two buffers, the second reused for the line term,
+    # with the ufuncs and operand order of the expression above: the same floats
+    a = np.ascontiguousarray((pts @ space.proj).T)
+    buf, scratch = np.empty((2, len(ts[blocks[0]]) * len(ts)))
+    maxima = []
+    for rows in blocks:
+        r, c = len(ts[rows]), len(ts) - rows.start
+        dmat, line = buf[:r * c].reshape(r, c), scratch[:r * c].reshape(r, c)
+        _sup_into(a[:, rows], a[:, rows.start:], space.weights, dmat, line)
+        np.subtract(ts[rows, None], ts[None, rows.start:], out=line)
+        np.abs(line, out=line)
+        line *= d_xy
+        np.subtract(dmat, line, out=line)
+        maxima.append(np.max(np.abs(line, out=line)))
+    return float(np.max(maxima))
+
+
+def _sup_into(a: np.ndarray, b: np.ndarray, weights, out: np.ndarray,
+              scratch: np.ndarray) -> np.ndarray:
+    """max_k w_k |a[k, i] - b[k, j]| written into out, for the projected rows
+    a (m, r) and b (m, c): the first coordinate in out, each later one in
+    scratch and then maxed into out."""
+    for k, wk in enumerate(weights):
+        d = out if k == 0 else scratch
+        np.subtract(a[k, :, None], b[k, None, :], out=d)
+        np.abs(d, out=d)
+        if wk != 1.0:
+            d *= wk
+        if k:
+            np.maximum(out, d, out=out)
+    return out
 
 
 def verify_certificate(space: SpaceHandle, cert: TriangleCertificate) -> float:
@@ -607,22 +647,16 @@ def linear_sup_space(name: str, dist: Callable, rows, weights, encode: Callable,
     coordinates and ``decode`` maps coordinates back to a point.
     ``dist`` is the model's own closed form, which the matrix from
     ``pairwise`` reproduces; the matrix is accumulated one row of L at a
-    time, so at most two (N, M) arrays are alive.
+    time, so two (N, M) arrays are alive.
     """
     proj = np.array(rows, dtype=float).T
     w = np.broadcast_to(np.asarray(weights, dtype=float), len(rows))
 
     def pairwise(A, B):
-        a = A @ proj
-        b = a if B is A else B @ proj
-        out = None
-        for k, wk in enumerate(w):
-            d = np.subtract.outer(a[:, k], b[:, k])
-            np.abs(d, out=d)
-            if wk != 1.0:
-                d *= wk
-            out = d if out is None else np.maximum(out, d, out=out)
-        return out
+        a = (A @ proj).T
+        b = a if B is A else (B @ proj).T
+        out = np.empty((len(A), len(B)))
+        return _sup_into(a, b, w, out, np.empty_like(out))
 
     return SpaceHandle(name=name, dist=dist, pairwise=pairwise, encode=encode, decode=decode,
                        proj=proj, weights=w)

@@ -209,6 +209,14 @@ class TestNonuniqueGeodesic:
         assert abs(verify_certificate(space, cert) - cert.margin) <= 1e-12
 
 
+def _quarter_arc():
+    """The Euclidean plane with the unit quarter circle as its only path."""
+    def quarter_arc(a, b, ts):
+        return np.column_stack((np.cos(0.5 * math.pi * ts), np.sin(0.5 * math.pi * ts)))
+
+    return replace(euclidean_plane(), name="quarter-arc", path=quarter_arc)
+
+
 class TestGeodesicDeviation:
     def test_orbit_straight_line(self):
         space = c_orbit_space()
@@ -231,10 +239,7 @@ class TestGeodesicDeviation:
         assert geodesic_deviation(space, (0, 0, 0, 0), (1, 2, -1, 0.5), resolution=64) <= 1e-12
 
     def test_quarter_arc_deviates(self):
-        def quarter_arc(a, b, ts):
-            return np.column_stack((np.cos(0.5 * math.pi * ts), np.sin(0.5 * math.pi * ts)))
-
-        arc = replace(euclidean_plane(), name="quarter-arc", path=quarter_arc)
+        arc = _quarter_arc()
         deviation = geodesic_deviation(arc, 1 + 0j, 1j, resolution=256)
         # independent one-dimensional oracle: maximize the chord excess
         # 2 sin(pi u / 4) - sqrt(2) u over the parameter gap u
@@ -530,14 +535,19 @@ class TestTiledScanFallbacks:
 
 
 def _counting(space):
-    """The handle with its pairwise counting the cells it computes."""
-    cells = [0]
+    """The handle with its pairwise recording the shape of each block it
+    computes."""
+    shapes = []
 
     def pairwise(A, B):
-        cells[0] += len(A) * len(B)
+        shapes.append((len(A), len(B)))
         return space.pairwise(A, B)
 
-    return replace(space, pairwise=pairwise), cells
+    return replace(space, pairwise=pairwise), shapes
+
+
+def _cells(shapes):
+    return sum(rows * cols for rows, cols in shapes)
 
 
 # the c-orbit triangles of the corbit-cat0-violation and corbit-slim-violation
@@ -554,15 +564,15 @@ class TestTiledScanCost:
         n = resolution + 1
         half_cat0 = sum(len(range(3 * n)[rows]) * (3 * n - rows.start)
                         for rows in metriclab._row_blocks(3 * n, 3 * n))
-        space, cells = _counting(c_orbit_space())
+        space, shapes = _counting(c_orbit_space())
         cert = cat0_check(space, *_CAT0_TRIANGLE, resolution=resolution)
         assert cert.margin == pytest.approx(1.0, rel=1e-7)
-        assert cells[0] < 0.05 * half_cat0
+        assert _cells(shapes) < 0.05 * half_cat0
 
-        space, cells = _counting(c_orbit_space())
+        space, shapes = _counting(c_orbit_space())
         cert = slim_check(space, *_SLIM_TRIANGLE, 1.0, resolution=resolution)
         assert cert.margin == pytest.approx(1.0, abs=1e-12)
-        assert cells[0] < 0.05 * 3 * n * n
+        assert _cells(shapes) < 0.05 * 3 * n * n
 
     def test_memory_bound_at_max_resolution(self):
         space = c_orbit_space()
@@ -591,6 +601,81 @@ class TestTiledScanCost:
         for s, t in ((slice(3, 17), slice(0, 45)), (slice(64, 70), slice(5, 29)),
                      (rng.permutation(70)[:20], np.sort(rng.choice(45, 12, replace=False)))):
             assert np.array_equal(space.pairwise(a[s], b[t]), whole[s][:, t])
+
+
+# coordinates near overflow: infinite distances and NaN deviations
+_WIDE_COORD = st.one_of(_COORD, st.sampled_from((-1e308, 1e308, 0.7e308)))
+
+
+def _wide_point(space, v):
+    """``_model_point`` on coordinates that may be near overflow; a
+    Kronecker point's first coordinate is clipped so that it keeps its
+    strip gap."""
+    if "kronecker" in space.name:
+        v = (min(max(v[0], -3.0), 3.0),) + tuple(v[1:])
+    return _model_point(space, v)
+
+
+def _deviations(space, vertices, resolution):
+    """geodesic_deviation on the handle, and on the same handle without its
+    projection, where every block comes from ``pairwise``, as JSON text."""
+    unprojected = replace(space, proj=None, weights=None)
+    return [_outcome(lambda: geodesic_deviation(s, *(_wide_point(s, v) for v in vertices),
+                                                resolution=resolution))
+            for s in (space, unprojected)]
+
+
+class TestProjectedDeviation:
+    """On a linear sup-space geodesic_deviation projects the samples once
+    and accumulates each row block in two reused buffers; its deviations
+    are those of the ``pairwise`` blocks, NaN included, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 300),
+           st.tuples(*[st.tuples(*[_WIDE_COORD] * 4)] * 2),
+           st.sampled_from((1, 7 * 123, metriclab._BLOCK_CELLS)))
+    def test_projected_blocks_equal_pairwise_blocks(self, index, resolution, vertices, cells):
+        space = _linear_handles()[index][0]
+        with mock.patch.object(metriclab, "_BLOCK_CELLS", cells):
+            projected, unprojected = _deviations(space, vertices, resolution)
+        assert projected == unprojected
+
+    def test_kronecker_at_2048(self):
+        vertices = ((0.3, -1.2, 0.9, 0.4), (-1.1, 0.8, -0.6, 1.3))
+        projected, unprojected = _deviations(kronecker_space(), vertices, 2048)
+        assert projected == unprojected
+        assert float(projected) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_distance_is_kept(self):
+        # a zero weight times an infinite difference: NaN distances far from
+        # the diagonal, though d(x, y) is finite
+        zero = metriclab.linear_sup_space("zero-weight", lambda p, q: abs((p - q).real),
+                                          ((1, 0), (0, 1)), (1.0, 0.0),
+                                          encode=attrgetter("real", "imag"),
+                                          decode=lambda c: complex(*c))
+        deviations = [geodesic_deviation(s, -1e308j, 1 + 1e308j, resolution=300)
+                      for s in (zero, replace(zero, proj=None, weights=None))]
+        assert all(math.isnan(d) for d in deviations)
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_linear_handles_do_not_call_pairwise(self, index):
+        space, sample, _ = _linear_handles()[index]
+        counted, shapes = _counting(space)
+        rng = np.random.default_rng([index, 21])
+        assert geodesic_deviation(counted, sample(rng), sample(rng), resolution=300) <= 1e-12
+        assert shapes == []
+
+    @pytest.mark.parametrize("cells", [7 * 123, metriclab._BLOCK_CELLS])
+    @pytest.mark.parametrize("make_space", [euclidean_plane, _quarter_arc])
+    def test_other_handles_call_pairwise_once_per_row_block(self, monkeypatch, make_space,
+                                                            cells):
+        monkeypatch.setattr(metriclab, "_BLOCK_CELLS", cells)
+        counted, shapes = _counting(make_space())
+        geodesic_deviation(counted, 1 + 0j, 1j, resolution=300)
+        assert shapes == [(len(range(301)[rows]), 301 - rows.start)
+                          for rows in metriclab._row_blocks(301, 301)]
 
 
 class TestAsJsonable:
