@@ -7,12 +7,16 @@ reports and shown on stderr only when asked for.  Only the commands
 that evaluate arrays import the array modules, so `pa`, `mass-growth`
 and `dist --model poincare` start without numpy.  The argument parser
 is built once per process, on the first call, and every later call of
-`main` parses with that same parser.
+`main` parses with that same parser.  `MODELS` holds each point model
+once, and every `--model` list but `quotient-dist`'s comes from it;
+`_points` parses every command's points and rejects a non-finite
+coordinate difference before any array work.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import io
@@ -21,6 +25,7 @@ import math
 import os
 import sys
 import time
+from operator import attrgetter
 
 from . import dynamics
 from .errors import StabmetricError
@@ -73,25 +78,46 @@ def _parse_kronecker(data, what: str):
 def _parse_quotient(data, what: str):
     from . import quotient
     if isinstance(data, dict):
-        return quotient.QuotPoint(_parse_vec4(data["rep"], what))
+        return quotient.QuotPoint(_parse_vec4(data.get("rep"), f'{what}\'s "rep"'))
     return quotient.QuotPoint.from_vector(_parse_vec4(data, what))
 
 
-# Every model the commands accept and its point parser (JSON data -> point);
-# all but poincare have a metriclab handle for the metric-space checks.
+# One row per --model name: parse maps (JSON data, name) to a point, coords
+# a point to its float coordinates, and space names the metriclab factory
+# of the model's handle (None: the model has none).
+Model = collections.namedtuple("Model", "parse coords space")
 MODELS = {
-    "euclidean": _parse_complex,
-    "corbit": _parse_complex,
-    "r4": _parse_vec4,
-    "quotient": _parse_quotient,
-    "kronecker": _parse_kronecker,
-    "poincare": _parse_complex,
+    "euclidean": Model(_parse_complex, attrgetter("real", "imag"), "euclidean_plane"),
+    "corbit": Model(_parse_complex, attrgetter("real", "imag"), "c_orbit_space"),
+    "r4": Model(_parse_vec4, tuple, "r4_space"),
+    "quotient": Model(_parse_quotient, attrgetter("rep"), "quotient_r4_space"),
+    "kronecker": Model(_parse_kronecker, attrgetter("x"), "kronecker_space"),
+    "kronecker-quotient": Model(_parse_kronecker, attrgetter("x"), "kronecker_quotient_space"),
+    "poincare": Model(_parse_complex, attrgetter("real", "imag"), None),
 }
-SPACE_MODELS = tuple(m for m in MODELS if m != "poincare")
+QUOTIENT_MODELS = ("r4", "kronecker")  # the models `quotient-dist` takes orbits of
 
 
-def _parse_point(model: str, text: str, what: str):
-    return MODELS[model](_parse_json(text, what), what)
+def _points(model: str, values, names) -> list:
+    """Parse JSON values as points of ``model``, named in errors by ``names``.
+
+    Before any array work, reject two points that differ by a non-finite
+    amount in some coordinate: every distance between them would overflow."""
+    row = MODELS[model]
+    points = [row.parse(v, name) for v, name in zip(values, names)]
+    coords = [row.coords(p) for p in points]
+    for j, b in enumerate(coords):
+        for i, a in enumerate(coords[:j]):
+            for k, (u, v) in enumerate(zip(a, b), 1):
+                if not math.isfinite(v - u):
+                    raise ValueError(f"{names[i]} and {names[j]} differ by a non-finite "
+                                     f"amount in coordinate {k}")
+    return points
+
+
+def _pair(args) -> list:
+    names = ("first point", "second point")
+    return _points(args.model, map(_parse_json, (args.p, args.q), names), names)
 
 
 def _arrow_count(points) -> int:
@@ -103,17 +129,10 @@ def _arrow_count(points) -> int:
 
 
 def _space(model: str, points):
-    """The model's metriclab handle; Kronecker witnesses take the points' arrow count."""
+    """The model's metriclab handle; witnesses keep the points' arrow count l."""
     from . import metriclab
-    if model == "kronecker":
-        return metriclab.kronecker_space(_arrow_count(points))
-    factories = {
-        "euclidean": metriclab.euclidean_plane,
-        "corbit": metriclab.c_orbit_space,
-        "r4": metriclab.r4_space,
-        "quotient": metriclab.quotient_r4_space,
-    }
-    return factories[model]()
+    factory = getattr(metriclab, MODELS[model].space)
+    return factory(_arrow_count(points)) if hasattr(points[0], "l") else factory()
 
 
 def _emit(payload, args) -> None:
@@ -158,12 +177,9 @@ def _seed(args) -> int:
 # subcommands
 
 def _cmd_dist(args) -> int:
-    p = _parse_point(args.model, args.p, "first point")
-    q = _parse_point(args.model, args.q, "second point")
-    if args.model == "poincare":
-        d = dynamics.poincare_distance(p, q)
-    else:
-        d = _space(args.model, (p, q)).dist(p, q)
+    p, q = _pair(args)
+    d = (dynamics.poincare_distance(p, q) if MODELS[args.model].space is None
+         else _space(args.model, (p, q)).dist(p, q))
     payload = {"model": args.model, "distance": d}
     if args.model == "kronecker":
         from . import stabmodel
@@ -176,15 +192,14 @@ def _cmd_dist(args) -> int:
 
 def _cmd_quotient_dist(args) -> int:
     from . import quotient
-    x = _parse_point(args.model, args.p, "first point")
-    y = _parse_point(args.model, args.q, "second point")
+    x, y = _pair(args)
     if args.model == "r4":
         closed = quotient.quot_dist_closed(
             quotient.QuotPoint.from_vector(x), quotient.QuotPoint.from_vector(y)
         )
         numeric = float(quotient.quot_dist_pairs([x], [y])[0])
         mini = quotient.quot_minimizer(x, y)
-    else:  # argparse limits --model to r4 and kronecker
+    else:  # argparse limits --model to QUOTIENT_MODELS
         _arrow_count((x, y))
         closed = quotient.kron_quot_closed(x, y)
         numeric = float(quotient.quot_dist_pairs([x.x], [y.x], math.pi)[0])
@@ -203,7 +218,7 @@ def _cmd_quotient_dist(args) -> int:
 
 def _cmd_hn(args) -> int:
     from . import metriclab, stabmodel
-    point = _parse_point("kronecker", args.point, "point")
+    point, = _points("kronecker", [_parse_json(args.point, "point")], ("point",))
     cls = stabmodel.ObjectClass.from_dict(_parse_json(args.object_class, "object class"))
     profile = stabmodel.hn_profile(point, cls)
     payload = {
@@ -221,8 +236,7 @@ def _triangle(args):
     data = _parse_json(args.vertices, "vertices")
     if not isinstance(data, list) or len(data) != 3:
         raise ValueError("vertices must be a JSON list of three points")
-    parse = MODELS[args.model]
-    return [parse(v, "vertex") for v in data]
+    return _points(args.model, data, ("vertex 1", "vertex 2", "vertex 3"))
 
 
 def _cmd_cat0(args) -> int:
@@ -253,8 +267,7 @@ def _cmd_slim(args) -> int:
 
 def _cmd_geodesic(args) -> int:
     from . import metriclab
-    x = _parse_point(args.model, args.p, "first point")
-    y = _parse_point(args.model, args.q, "second point")
+    x, y = _pair(args)
     dev = metriclab.geodesic_deviation(_space(args.model, (x, y)), x, y,
                                        resolution=args.resolution)
     _emit({"model": args.model, "deviation": dev, "resolution": args.resolution}, args)
@@ -378,17 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "certificates, and pseudo-Anosov dynamics",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    space_models = [m for m, row in MODELS.items() if row.space]
 
     p = subs.add_parser("dist", help="distance between two points of a model")
-    p.add_argument("--model", choices=("corbit", "kronecker", "r4", "poincare"),
-                   required=True)
+    p.add_argument("--model", choices=tuple(MODELS), required=True)
     p.add_argument("p")
     p.add_argument("q")
     _add_common(p)
     p.set_defaults(func=_cmd_dist)
 
     p = subs.add_parser("quotient-dist", help="quotient distance: closed form vs solver")
-    p.add_argument("--model", choices=("r4", "kronecker"), default="r4")
+    p.add_argument("--model", choices=QUOTIENT_MODELS, default=QUOTIENT_MODELS[0])
     p.add_argument("p")
     p.add_argument("q")
     _add_common(p)
@@ -401,20 +414,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hn)
 
     p = subs.add_parser("cat0-check", help="comparison-triangle test")
-    p.add_argument("--model", choices=SPACE_MODELS, required=True)
+    p.add_argument("--model", choices=space_models, required=True)
     p.add_argument("--vertices", required=True)
     _add_common(p, "seed", "tol", "resolution")
     p.set_defaults(func=_cmd_cat0)
 
     p = subs.add_parser("slim-check", help="thin-triangle test")
-    p.add_argument("--model", choices=SPACE_MODELS, required=True)
+    p.add_argument("--model", choices=space_models, required=True)
     p.add_argument("--vertices", required=True)
     p.add_argument("--delta", type=float, required=True)
     _add_common(p, "seed", "resolution")
     p.set_defaults(func=_cmd_slim)
 
     p = subs.add_parser("geodesic-check", help="geodesic-equation deviation")
-    p.add_argument("--model", choices=SPACE_MODELS, required=True)
+    p.add_argument("--model", choices=space_models, required=True)
     p.add_argument("p")
     p.add_argument("q")
     _add_common(p, "resolution", resolution=256)

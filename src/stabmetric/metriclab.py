@@ -690,9 +690,10 @@ def kronecker_space(l: int = 3) -> SpaceHandle:
                             decode=lambda x: KroneckerPoint(x, l))
 
 
-def kronecker_quotient_space() -> SpaceHandle:
+def kronecker_quotient_space(l: int = 3) -> SpaceHandle:
     """Kronecker strip modulo the translation action, with orbits named by
-    representative points; distances use the attained infimum."""
+    representative points; distances use the attained infimum.  Witnesses
+    are decoded as points with arrow count l."""
     return linear_sup_space("kronecker-quotient", kron_quot_closed,
                             ((1, 0, -1, 0), (0, 1, 0, -1)), 0.5,
-                            encode=attrgetter("x"), decode=KroneckerPoint)
+                            encode=attrgetter("x"), decode=lambda x: KroneckerPoint(x, l))

@@ -59,7 +59,11 @@ class ObjectClass:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ObjectClass":
-        k1, k2 = data["k"]
+        k = data.get("k") if isinstance(data, dict) else None
+        if not isinstance(k, (list, tuple)) or len(k) != 2:
+            raise ValueError('an object class is a JSON object whose "k" is a pair '
+                             'of integers [k1, k2]')
+        k1, k2 = k
         return cls(_integer(k1, "k"), _integer(k2, "k"), _integer(data.get("shift", 0), "shift"))
 
 
@@ -87,7 +91,10 @@ class KroneckerPoint:
 
     @classmethod
     def from_dict(cls, data: dict) -> "KroneckerPoint":
-        return cls(tuple(real_number(v, "x") for v in data["x"]), _integer(data.get("l", 3), "l"))
+        x = data.get("x")
+        if not isinstance(x, (list, tuple)):
+            raise ValueError('a Kronecker point object needs "x": a list of four numbers')
+        return cls(tuple(real_number(v, "x") for v in x), _integer(data.get("l", 3), "l"))
 
 
 @dataclass(frozen=True)

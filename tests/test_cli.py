@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,17 @@ class TestDist:
     def test_poincare(self, capsys):
         code, out, _ = run(capsys, "dist", "--model", "poincare", "[0,1]", "[0,2]")
         assert json.loads(out)["distance"] == pytest.approx(math.log(2) / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("model, p, q, distance", [
+        ("euclidean", "[0,0]", "[3,4]", 5.0),
+        ("quotient", '{"rep":[0,0,1,1]}', "[1,1,1,1]", 0.5),
+        ("kronecker-quotient", "[0.2,0,0.4,0]", "[0.2,0,0.8,0]", 0.2),
+    ])
+    def test_every_handle_model(self, capsys, model, p, q, distance):
+        code, out, _ = run(capsys, "dist", "--model", model, p, q)
+        assert code == 0
+        assert json.loads(out) == {"model": model,
+                                   "distance": pytest.approx(distance, abs=1e-12)}
 
     def test_invalid_point_is_machine_readable(self, capsys):
         code, out, err = run(capsys, "dist", "--model", "kronecker",
@@ -117,6 +129,18 @@ class TestChecks:
         assert code == 0
         assert payload["result"] == "violation"
         assert payload["certificate"]["margin"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_cat0_kronecker_quotient_violation(self, capsys):
+        # the quotient-nonunique-geodesic vertices, as strip representatives
+        code, out, _ = run(
+            capsys, "cat0-check", "--model", "kronecker-quotient",
+            "--vertices", "[[0.2,0,0.4,0],[0.2,0,0.6,0.1],[0.2,0,0.8,0]]",
+        )
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["result"] == "violation"
+        assert payload["certificate"]["space"] == "kronecker-quotient"
+        assert payload["certificate"]["margin"] == pytest.approx(0.05, abs=1e-12)
 
     def test_cat0_pass_euclidean(self, capsys):
         code, out, _ = run(
@@ -458,19 +482,29 @@ class TestArrowCount:
     witnesses, and points that disagree on it are rejected."""
 
     VERTICES = [[0, 0, 0.5, 0], [2, 0, 2.5, 0], [1, 1, 1.5, 1]]
+    # each model's vertices and arrow count; in the quotient, VERTICES are
+    # one orbit, so it takes the quotient-nonunique-geodesic vertices
+    TRIANGLES = {"kronecker": (VERTICES, 5),
+                 "kronecker-quotient": ([[0.2, 0, 0.4, 0], [0.2, 0, 0.6, 0.1],
+                                         [0.2, 0, 0.8, 0]], 2)}
 
     @pytest.mark.parametrize("argv, witnesses", [
         (("cat0-check", "--model", "kronecker", "--resolution", "16"), ["p", "q"]),
         (("slim-check", "--model", "kronecker", "--resolution", "16", "--delta", "0.1"),
          ["point"]),
+        pytest.param(("cat0-check", "--model", "kronecker-quotient", "--resolution", "16"),
+                     ["p", "q"], id="cat0-check-kronecker-quotient"),
+        pytest.param(("slim-check", "--model", "kronecker-quotient", "--resolution", "16",
+                      "--delta", "0.01"), ["point"], id="slim-check-kronecker-quotient"),
     ], ids=lambda v: v[0] if isinstance(v, tuple) else None)
     def test_witnesses_keep_l(self, capsys, argv, witnesses):
-        vertices = [{"x": x, "l": 5} for x in self.VERTICES]
-        code, out, _ = run(capsys, *argv, "--vertices", json.dumps(vertices))
+        vertices, l = self.TRIANGLES[argv[2]]
+        points = [{"x": x, "l": l} for x in vertices]
+        code, out, _ = run(capsys, *argv, "--vertices", json.dumps(points))
         cert = json.loads(out)["certificate"]
         assert code == 0
-        assert [v["l"] for v in cert["vertices"]] == [5, 5, 5]
-        assert [cert["witness"][w]["l"] for w in witnesses] == [5] * len(witnesses)
+        assert [v["l"] for v in cert["vertices"]] == [l, l, l]
+        assert [cert["witness"][w]["l"] for w in witnesses] == [l] * len(witnesses)
 
     @pytest.mark.parametrize("argv", [
         ("dist", "--model", "kronecker", "P", "Q"),
@@ -479,6 +513,14 @@ class TestArrowCount:
         ("slim-check", "--model", "kronecker", "--resolution", "16", "--delta", "0.5",
          "--vertices", "TRIANGLE"),
         ("geodesic-check", "--model", "kronecker", "--resolution", "16", "P", "Q"),
+        *(pytest.param((command, "--model", "kronecker-quotient", *rest),
+                       id=f"{command}-kronecker-quotient")
+          for command, *rest in [
+              ("dist", "P", "Q"),
+              ("cat0-check", "--resolution", "16", "--vertices", "TRIANGLE"),
+              ("slim-check", "--resolution", "16", "--delta", "0.5", "--vertices", "TRIANGLE"),
+              ("geodesic-check", "--resolution", "16", "P", "Q"),
+          ]),
     ], ids=lambda argv: argv[0])
     def test_disagreeing_points_rejected(self, capsys, argv):
         p, q, r = ({"x": x, "l": l} for x, l in zip(self.VERTICES, (3, 4, 3)))
@@ -535,7 +577,45 @@ class TestInputBoundary:
 
     def test_non_finite_report_rejected(self, capsys):
         payload = self.error(capsys, "dist", "--model", "corbit", "[1e308,0]", "[-1e308,0]")
-        assert "not JSON compliant" in payload["message"]
+        assert payload["message"] == ("first point and second point differ by a non-finite "
+                                      "amount in coordinate 1")
+
+    # finite points whose distances overflow: the guard names the pair and
+    # the coordinate before any array work, so no numpy warning is printed
+    @pytest.mark.parametrize("argv, message", [
+        (("geodesic-check", "--model", "corbit", "[-1e308,0]", "[1e308,0]",
+          "--resolution", "4"), "first point and second point"),
+        (("cat0-check", "--model", "corbit", "--vertices", "[[-1e308,0],[1e308,0],[0,1]]"),
+         "vertex 1 and vertex 2"),
+        (("slim-check", "--model", "r4", "--delta", "1",
+          "--vertices", "[[-1e308,0,0,0],[1e308,0,0,0],[0,1,0,0]]"), "vertex 1 and vertex 2"),
+        (("dist", "--model", "poincare", "[-1e308,1]", "[1e308,1]"),
+         "first point and second point"),
+        (("quotient-dist", "--model", "r4", "[-1e308,0,0,0]", "[1e308,0,0,0]"),
+         "first point and second point"),
+    ], ids=["geodesic-check", "cat0-check", "slim-check", "dist-poincare", "quotient-dist"])
+    def test_overflowing_difference_named(self, capsys, argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            payload = self.error(capsys, *argv)
+        assert payload == {"error": "ValueError", "message": message
+                           + " differ by a non-finite amount in coordinate 1"}
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    # dict-form inputs name the field they miss and its shape
+    @pytest.mark.parametrize("argv, field", [
+        (("hn", "--point", "[0.5,0,1,0]", "--object-class", "[2,3]"), '"k"'),
+        (("hn", "--point", "[0.5,0,1,0]", "--object-class", '{"k":5}'), '"k"'),
+        (("hn", "--point", "[0.5,0,1,0]", "--object-class", "{}"), '"k"'),
+        (("hn", "--point", '{"l":3}', "--object-class", '{"k":[1,2]}'), '"x"'),
+        (("dist", "--model", "quotient", "{}", "[0,0,1,1]"), '"rep"'),
+    ], ids=["object-class-list", "object-class-int-k", "object-class-empty",
+            "kronecker-no-x", "quotient-no-rep"])
+    def test_dict_form_names_field(self, capsys, argv, field):
+        payload = self.error(capsys, *argv)
+        assert payload["error"] == "ValueError"
+        assert field in payload["message"]
+        assert re.search(r"pair of integers|list of four numbers", payload["message"])
 
     def test_undeclared_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -548,7 +628,8 @@ class TestInputBoundary:
     ])
     def test_solver_overflow(self, capsys, model, p, q):
         payload = self.error(capsys, "quotient-dist", "--model", model, p, q)
-        assert "not JSON compliant" in payload["message"]
+        assert re.fullmatch("first point and second point differ by a non-finite amount "
+                            "in coordinate [12]", payload["message"])
 
     def test_oracle_overflow(self, capsys):
         payload = self.error(capsys, "dist", "--model", "kronecker",

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stabmetric import dynamics, metriclab, quotient
-from stabmetric.cli import main
+from stabmetric.cli import MODELS, QUOTIENT_MODELS, main
 from stabmetric.fixtures import FIXTURES
 
 _FLOATS = st.floats(-10.0, 10.0)
@@ -54,6 +54,7 @@ _MODEL_POINTS = {
     "r4": st.lists(_FLOATS, min_size=4, max_size=4),
     "quotient": st.lists(_FLOATS, min_size=4, max_size=4).map(lambda v: {"rep": v}),
     "kronecker": _STRIP_POINTS | _STRIP_POINTS.map(lambda x: {"x": x, "l": 3}),
+    "kronecker-quotient": _STRIP_POINTS | _STRIP_POINTS.map(lambda x: {"x": x, "l": 2}),
     "poincare": st.tuples(_FLOATS, st.floats(0.01, 10.0)).map(list),
 }
 
@@ -85,10 +86,11 @@ def _cat(*parts):
     return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
 
 
-_SPACE_MODELS = ["euclidean", "corbit", "r4", "quotient", "kronecker"]
+# the models with a metriclab handle: the ones the metric-space checks take
+_SPACE_MODELS = [m for m, row in MODELS.items() if row.space]
 _COMMANDS = {
-    "dist": _cat(_pair(["corbit", "kronecker", "r4", "poincare"])),
-    "quotient-dist": _cat(_pair(["r4", "kronecker"])),
+    "dist": _cat(_pair(list(MODELS))),
+    "quotient-dist": _cat(_pair(list(QUOTIENT_MODELS))),
     "hn": _cat(
         _req("--point", _text(_MODEL_POINTS["kronecker"])),
         _req("--object-class", _text(st.fixed_dictionaries(
@@ -140,6 +142,10 @@ def _check_report(text: str, csv_format: bool) -> None:
         assert not {"nan", "inf", "-inf"} & {cell for row in rows for cell in row}
     else:
         json.loads(text, parse_constant=_reject_constant)
+
+
+def test_every_model_is_fuzzed():
+    assert set(_MODEL_POINTS) == set(MODELS)
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
