@@ -75,11 +75,20 @@ def _parse_kronecker(data, what: str):
     return stabmodel.KroneckerPoint(_parse_vec4(data, what))
 
 
+def _finite_rep(x, what: str):
+    """x, after checking that its orbit representative (0, 0, x3 - x1,
+    x4 - x2) does not overflow."""
+    for k in (3, 4):
+        if not math.isfinite(x[k - 1] - x[k - 3]):
+            raise ValueError(f"{what}'s x{k} - x{k - 2} is not finite")
+    return x
+
+
 def _parse_quotient(data, what: str):
     from . import quotient
     if isinstance(data, dict):
         return quotient.QuotPoint(_parse_vec4(data.get("rep"), f'{what}\'s "rep"'))
-    return quotient.QuotPoint.from_vector(_parse_vec4(data, what))
+    return quotient.QuotPoint.from_vector(_finite_rep(_parse_vec4(data, what), what))
 
 
 # One row per --model name: parse maps (JSON data, name) to a point, coords
@@ -194,15 +203,17 @@ def _cmd_quotient_dist(args) -> int:
     from . import quotient
     x, y = _pair(args)
     if args.model == "r4":
+        for point, name in zip((x, y), ("first point", "second point")):
+            _finite_rep(point, name)
         closed = quotient.quot_dist_closed(
             quotient.QuotPoint.from_vector(x), quotient.QuotPoint.from_vector(y)
         )
-        numeric = float(quotient.quot_dist_pairs([x], [y])[0])
+        numeric = float(quotient.quot_dist_lp([x], [y])[0])
         mini = quotient.quot_minimizer(x, y)
     else:  # argparse limits --model to QUOTIENT_MODELS
         _arrow_count((x, y))
         closed = quotient.kron_quot_closed(x, y)
-        numeric = float(quotient.quot_dist_pairs([x.x], [y.x], math.pi)[0])
+        numeric = float(quotient.quot_dist_lp([x.x], [y.x], math.pi)[0])
         mini = None
     payload = {
         "model": args.model,

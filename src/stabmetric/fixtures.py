@@ -196,7 +196,7 @@ def _closed_form_pairs(seed: int):
 
 def _quotient_closed_form(seed: int, resolution: int):
     sigma, tau = _closed_form_pairs(seed)
-    numeric = quotient.quot_dist_pairs(sigma, tau)
+    numeric = quotient.quot_dist_lp(sigma, tau)
     closed, attained = np.array([
         (quotient.quot_dist_closed(quotient.QuotPoint.from_vector(x),
                                    quotient.QuotPoint.from_vector(y)),
@@ -207,10 +207,11 @@ def _quotient_closed_form(seed: int, resolution: int):
                "max_minimizer_deviation": float(np.max(np.abs(attained - closed))),
                # same-orbit pairs collapse to distance zero
                "same_orbit_distance": float(numeric[-1])}
-    checks = [("max_solver_deviation <= 1e-6", details["max_solver_deviation"], "<=", 1e-6),
+    # the solver is the exact LP optimum rounded once, so both bounds are rounding bounds
+    checks = [("max_solver_deviation <= 1e-12", details["max_solver_deviation"], "<=", 1e-12),
               ("max_minimizer_deviation <= 1e-12", details["max_minimizer_deviation"],
                "<=", 1e-12),
-              ("same_orbit_distance <= 1e-9", details["same_orbit_distance"], "<=", 1e-9)]
+              ("same_orbit_distance <= 1e-12", details["same_orbit_distance"], "<=", 1e-12)]
     return details, checks, []
 
 

@@ -1,6 +1,7 @@
 """The R^4 sup-metric model, its translation action, the quotient metric
-in closed form, a numerical infimum solver, and the isometric embedding
-into the Kronecker model.
+in closed form, an exact linear program for the quotient infimum, a
+numerical infimum solver, and the isometric embedding into the
+Kronecker model.
 
 A complex parameter acts on R^4 by adding (Re, Im, Re, Im); orbits are
 closed, so the quotient distance inf over the action is attained and
@@ -8,12 +9,13 @@ equals
 
     max{ |(y1-x1) - (y3-x3)| / 2,  |(y2-x2) - (y4-x4)| / 2 }.
 
-The numerical solver checks that closed form from the definition: it
-minimizes the sup distance over the action parameter with a coarse grid
-and a pattern search, which moves to the best of eight directions or
-halves its step.  ``quot_dist_pairs`` runs it on P pairs of
-coordinate rows at once, as array operations; ``quot_dist_inf`` runs the
-same search on one pair through black-box distance and action callables.
+``quot_dist_lp`` checks that closed form from the definition: the
+infimum is the linear program min t over (Re lam, Im lam, t) subject to
++-(d_k - (S lam)_k) <= t, whose optimal vertex it certifies in exact
+integer arithmetic, so each value is the exact optimum rounded once.
+``quot_dist_inf`` minimizes the same infimum through black-box distance
+and action callables, with a coarse grid and a pattern search that moves
+to the best of eight directions or halves its step.
 
 The embedding q sends a vector of the strip 0 < x3 - x1 < 1 to the
 Kronecker point with the same coordinates; it intertwines the two
@@ -23,6 +25,8 @@ the plain and the quotient metrics.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -152,40 +156,108 @@ def _pattern_search(objective, box: np.ndarray) -> np.ndarray:
     return best
 
 
-# Overflow follows IEEE arithmetic, silently, as in the scalar loop the
-# solver replaced; a non-finite distance is rejected where it is reported.
-@np.errstate(over="ignore", invalid="ignore")
-def quot_dist_pairs(sigma, tau, im_scale: float = 1.0) -> np.ndarray:
-    """Numerical quotient distances of P pairs of R^4 coordinate rows.
+def _adj3(m) -> list[list[int]]:
+    """The adjugate of a 3x3 integer matrix: m times it is det(m) times
+    the identity."""
+    def minor(r: int, c: int) -> int:
+        (a, b), (e, f) = ([v for j, v in enumerate(row) if j != c]
+                          for i, row in enumerate(m) if i != r)
+        return a * f - b * e
 
-    Row p is the infimum over lam of max_k |sigma_k - (tau_k + (S lam)_k)|
-    with S lam = (Re, s Im, Re, s Im), s = ``im_scale``: s = 1 is
-    ``dprime`` after ``r4_act``, s = pi is ``d_B_closed`` after
-    ``stabmodel.c_act`` on the strip.  The operations run in the order of
-    those scalar calls, so each value equals ``quot_dist_inf`` on the same
-    pair bit for bit.  sigma and tau are (P, 4) arrays.
+    return [[(-1) ** (i + j) * minor(j, i) for j in range(3)] for i in range(3)]
+
+
+@functools.cache
+def _lp_bases(im_scale: float):
+    """The dual-feasible bases of the quotient LP for S lam = (u, s v, u, s v).
+
+    Constraint (k, e), e = +-1, reads t + e (S lam)_k >= e d_k; with
+    s = p / q exactly, a v-row is scaled by q to the integer normal
+    (0, e p, q) and right side q e d_k.  A basis is three constraints
+    with independent normals; its vertex is linear in d, so each basis is
+    stored as integer linear forms in d: ``value`` with the positive
+    ``det`` gives t = value . d / det, and each of its five ``checks``
+    is det times a non-basic constraint's slack.  Only bases whose dual
+    solution (the third row of the inverse) is nonnegative are kept:
+    where such a vertex is feasible it is optimal, by LP duality.
+    Returned with the bases is a (4, bases * 6) float matrix of the same
+    forms: value / det first, then each check scaled to entries of at
+    most 1.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    tau = np.asarray(tau, dtype=float)
+    p, q = im_scale.as_integer_ratio()
+    if p == 0:
+        raise ValueError(f"im_scale must be nonzero, got {im_scale!r}")
+    rows = [(k, e) for k in range(4) for e in (1, -1)]
+    normal = {(k, e): (e, 0, 1) if k % 2 == 0 else (0, e * p, q) for k, e in rows}
+    weight = {k: 1 if k % 2 == 0 else q for k in range(4)}
+    bases, floats = [], []
+    for basis in itertools.combinations(rows, 3):
+        a = [normal[r] for r in basis]
+        adj = _adj3(a)
+        det = sum(a[0][j] * adj[j][0] for j in range(3))
+        if det == 0:
+            continue
+        if det < 0:
+            det, adj = -det, [[-v for v in row] for row in adj]
+        if min(adj[2]) < 0:
+            continue
+        # det times the vertex (u, v, t), as integer forms in d
+        x = [[sum(adj[j][i] * weight[c] * e for i, (k, e) in enumerate(basis) if k == c)
+              for c in range(4)] for j in range(3)]
+        checks = [tuple(sum(n * x[j][c] for j, n in enumerate(normal[k, e]))
+                        - (det * weight[k] * e if c == k else 0) for c in range(4))
+                  for k, e in rows if (k, e) not in basis]
+        bases.append((tuple(checks), tuple(x[2]), det))
+        floats.append([[v / det for v in x[2]]]
+                      + [[v / (max(map(abs, chk)) or 1) for v in chk] for chk in checks])
+    matrix = np.array(floats, dtype=float).transpose(2, 0, 1).reshape(4, -1)
+    return bases, matrix
 
-    def objective(rows, u, v):
-        w = v * im_scale
-        s, t = sigma[rows], tau[rows]
-        out = np.abs(s[:, 0, None] - (t[:, 0, None] + u))
-        for k, shift in ((1, w), (2, u), (3, w)):
-            np.maximum(out, np.abs(s[:, k, None] - (t[:, k, None] + shift)), out=out)
-        return out
 
-    return _pattern_search(objective, np.abs(sigma - tau).max(axis=1) + 1.0)
+@np.errstate(over="ignore", invalid="ignore")
+def quot_dist_lp(sigma, tau, im_scale: float = 1.0) -> np.ndarray:
+    """Exact quotient distances of P pairs of R^4 coordinate rows.
+
+    Row p is the infimum over lam of max_k |d_k - (S lam)_k| for the
+    float differences d = sigma_p - tau_p and S lam = (Re, s Im, Re, s Im),
+    s = ``im_scale``: s = 1 is ``dprime`` after ``r4_act``, s = pi the
+    double ``math.pi``, as ``c_act`` scales on the strip.  One float pass
+    evaluates every basis of ``_lp_bases`` on every pair; each pair then
+    tries its bases float-feasible first and by decreasing t (a
+    dual-feasible t bounds the optimum from below), and the first whose
+    checks hold in integers over a common power-of-two denominator is
+    optimal.  Its exact t is a ratio of integers, which ``/`` rounds once.
+    sigma and tau are (P, 4) arrays; a non-finite difference is rejected.
+    """
+    d = np.asarray(sigma, dtype=float) - np.asarray(tau, dtype=float)
+    if not np.isfinite(d).all():
+        raise ValueError("sigma - tau has a non-finite entry")
+    bases, matrix = _lp_bases(float(im_scale))
+    forms = (d @ matrix).reshape(len(d), len(bases), 6)
+    # float-infeasible bases rank last; sorted() rather than np.lexsort,
+    # whose first call adds about 0.3 MiB of numpy code pages to the RSS
+    ranks = np.where((forms[:, :, 1:] >= 0.0).all(axis=2), forms[:, :, 0], -np.inf)
+    out = []
+    for row, rank in zip(d.tolist(), ranks.tolist()):
+        ratios = [v.as_integer_ratio() for v in row]
+        top = max(den.bit_length() for _, den in ratios)
+        n0, n1, n2, n3 = (num << (top - den.bit_length()) for num, den in ratios)
+        for b in sorted(range(len(bases)), key=rank.__getitem__, reverse=True):
+            checks, (v0, v1, v2, v3), det = bases[b]
+            if all(c0 * n0 + c1 * n1 + c2 * n2 + c3 * n3 >= 0 for c0, c1, c2, c3 in checks):
+                out.append((v0 * n0 + v1 * n1 + v2 * n2 + v3 * n3) / (det << (top - 1)))
+                break
+        else:  # a bounded LP over a pointed polyhedron has an optimal vertex
+            raise ArithmeticError(f"no basis is certified optimal for pair {len(out)}")
+    return np.array(out)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def quot_dist_inf(dist, sigma, tau, act) -> float:
     """Numerical infimum over the action parameter of dist(sigma, act(tau, lam)).
 
-    The black-box form of ``quot_dist_pairs``: the same grid and pattern
-    search over one pair, with the objective evaluated through the two
-    callables one parameter at a time.
+    A coarse grid and a pattern search over one pair, with the objective
+    evaluated through the two callables one parameter at a time.
     """
 
     def objective(rows, u, v):

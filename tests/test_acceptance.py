@@ -70,18 +70,18 @@ def test_c3_slim_violations():
 
 
 def test_c4_quotient_infimum():
-    """Numerical infimum matches the closed form; minimizer attains it."""
+    """The exact LP infimum matches the closed form; minimizer attains it."""
     rng = np.random.default_rng(104)
     ok = True
     for _ in range(100):
         x = tuple(rng.uniform(-3.0, 3.0, 4))
         y = tuple(rng.uniform(-3.0, 3.0, 4))
         closed = quotient.quot_dist_closed(QuotPoint.from_vector(x), QuotPoint.from_vector(y))
-        numeric = quotient.quot_dist_inf(quotient.dprime, x, y, quotient.r4_act)
+        numeric = quotient.quot_dist_lp([x], [y])[0]
         attained = quotient.dprime(quotient.r4_act(x, quotient.quot_minimizer(x, y)), y)
-        ok = ok and abs(numeric - closed) <= 1e-6
+        ok = ok and abs(numeric - closed) <= 1e-12
         ok = ok and abs(attained - closed) <= 1e-12
-    _report("criterion 4: quotient infimum (solver 1e-6, analytic minimizer 1e-12)", ok)
+    _report("criterion 4: quotient infimum (exact LP 1e-12, analytic minimizer 1e-12)", ok)
 
 
 def test_c5_isometric_embedding():

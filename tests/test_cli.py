@@ -75,7 +75,9 @@ class TestQuotientDist:
         payload = json.loads(out)
         assert code == 0
         assert payload["closed_form"] == pytest.approx(0.2, abs=1e-12)
-        assert payload["deviation"] <= 1e-6
+        # the exact optimum for the differences (0, 0, -0.4, 0), rounded once
+        assert payload["solver"] == 0.2
+        assert payload["deviation"] <= 1e-15
 
     def test_kronecker_quotient(self, capsys):
         code, out, _ = run(capsys, "quotient-dist", "--model", "kronecker",
@@ -83,7 +85,8 @@ class TestQuotientDist:
         payload = json.loads(out)
         assert code == 0
         assert payload["closed_form"] == pytest.approx(0.2, abs=1e-12)
-        assert payload["deviation"] <= 1e-6
+        assert payload["solver"] == 0.2
+        assert payload["deviation"] <= 1e-15
 
     def test_kronecker_far_apart(self, capsys):
         # the translate of the second point lies where floats are 0.125
@@ -94,17 +97,21 @@ class TestQuotientDist:
         assert code == 0
         assert payload["closed_form"] == payload["solver"] == 0.25
 
-    @pytest.mark.parametrize("p, q", [
-        ("[0,-1e308,0,1e308]", "[0,-1e308,0,1.5e308]"),
-        ("[-1e308,0,1e308,0]", "[-1e308,0,1.5e308,0]"),
+    @pytest.mark.parametrize("p, q, coordinate", [
+        ("[0,-1e308,0,1e308]", "[0,-1e308,0,1.5e308]", "x4 - x2"),
+        ("[-1e308,0,1e308,0]", "[-1e308,0,1.5e308,0]", "x3 - x1"),
     ])
-    def test_nan_closed_form_exits_2(self, capsys, p, q):
-        # each representative overflows to inf, so one coordinate of the
-        # closed form's difference is inf - inf = NaN, whichever it is
-        code, out, err = run(capsys, "quotient-dist", p, q)
+    def test_nan_closed_form_exits_2(self, capsys, p, q, coordinate):
+        # each representative would overflow to inf, and the closed form's
+        # difference inf - inf would be NaN: the first point is named first
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "quotient-dist", p, q)
         assert code == 2
         assert out == ""
-        assert set(json.loads(err)) == {"error", "message"}
+        assert json.loads(err) == {"error": "ValueError",
+                                   "message": f"first point's {coordinate} is not finite"}
+        assert not caught
 
 
 class TestHN:
@@ -333,7 +340,7 @@ class TestFixturesCommand:
 
     def test_nan_detail_is_null_and_exits_1(self, capsys, monkeypatch):
         # a solver that returns NaN fails the fixture; the report still comes out
-        monkeypatch.setattr(quotient, "quot_dist_pairs",
+        monkeypatch.setattr(quotient, "quot_dist_lp",
                             lambda sigma, tau, *args: np.full(len(sigma), np.nan))
         code, out, err = run(capsys, "fixtures", "--filter", "quotient-closed")
         [result] = json.loads(out, parse_constant=pytest.fail)["results"]
@@ -341,7 +348,7 @@ class TestFixturesCommand:
         assert err == ""
         assert result["passed"] is False
         assert result["details"]["failed_checks"] == [
-            "max_solver_deviation <= 1e-6", "same_orbit_distance <= 1e-9"]
+            "max_solver_deviation <= 1e-12", "same_orbit_distance <= 1e-12"]
         assert result["details"]["max_solver_deviation"] is None
         assert result["details"]["same_orbit_distance"] is None
 
@@ -602,6 +609,18 @@ class TestInputBoundary:
                            + " differ by a non-finite amount in coordinate 1"}
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    # a quotient point whose own representative overflows is named with
+    # its coordinate, even when the points agree
+    @pytest.mark.parametrize("argv, message", [
+        (("dist", "--model", "quotient", "[0,-1e308,0,1e308]", "[0,-1e308,0,1e308]"),
+         "first point's x4 - x2"),
+        (("cat0-check", "--model", "quotient", "--vertices",
+          "[[0,0,0,0],[-1e308,0,1e308,0],[0,0,1,0]]"), "vertex 2's x3 - x1"),
+    ], ids=["dist", "cat0-check"])
+    def test_overflowing_representative_named(self, capsys, argv, message):
+        assert self.error(capsys, *argv) == {"error": "ValueError",
+                                             "message": message + " is not finite"}
+
     # dict-form inputs name the field they miss and its shape
     @pytest.mark.parametrize("argv, field", [
         (("hn", "--point", "[0.5,0,1,0]", "--object-class", "[2,3]"), '"k"'),
@@ -834,6 +853,23 @@ class TestCachedParser:
             seen.append((code, here.out))
         assert seen[0][1] != seen[1][1]  # the report names its seed, 5 then 0
         assert seen[4] == (2, "")
+
+
+class TestQuotientImports:
+    def test_no_fractions_or_decimal(self):
+        # the exact LP works in ints; Fraction would pull in decimal too
+        probe = "\n".join([
+            "import sys",
+            "from stabmetric.cli import main",
+            "assert main(['quotient-dist', '[0,0.25,1,1.25]', '[0,0,0.5,0]']) == 0",
+            "assert main(['quotient-dist', '--model', 'kronecker', '[0,0,0.5,0]',",
+            "             '[0,0.5,0.5,0.5]']) == 0",
+            "assert main(['fixtures', '--resolution', '8', '--format', 'csv']) == 0",
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "[]\n"
 
 
 class TestPackageRoot:

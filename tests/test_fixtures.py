@@ -67,20 +67,41 @@ class TestRule:
         assert result.details["failed_checks"] == list(NUMERIC)
 
 
+class TestQuotientClosedForm:
+    def test_closed_form_off_by_1e_12_fails(self, monkeypatch):
+        # the solver is exact, so a closed form 1e-12 off on one pair fails
+        # by name: at seed 0 the first pair's 2.66... + 1e-12 rounds to
+        # 1.00009e-12 above the exact optimum
+        closed = quotient.quot_dist_closed
+        calls = []
+
+        def first_off(xbar, ybar):
+            calls.append(None)
+            return closed(xbar, ybar) + (1e-12 if len(calls) == 1 else 0.0)
+
+        assert build_fixture("quotient-closed-form", 0).passed is True
+        monkeypatch.setattr(quotient, "quot_dist_closed", first_off)
+        result = build_fixture("quotient-closed-form", 0)
+        # the analytic minimizer is measured against the same closed form
+        assert result.details["failed_checks"] == ["max_solver_deviation <= 1e-12",
+                                                   "max_minimizer_deviation <= 1e-12"]
+        assert 1e-12 < result.details["max_solver_deviation"] < 1.001e-12
+
+
 class TestNanFails:
     """A NaN deep in a fixture's evidence fails the check it feeds."""
 
     def test_nan_solver_row(self, monkeypatch):
-        solve = quotient.quot_dist_pairs
+        solve = quotient.quot_dist_lp
 
         def nan_row(sigma, tau):
             out = solve(sigma, tau).copy()
             out[3] = math.nan
             return out
 
-        monkeypatch.setattr(quotient, "quot_dist_pairs", nan_row)
+        monkeypatch.setattr(quotient, "quot_dist_lp", nan_row)
         result = build_fixture("quotient-closed-form")
-        assert result.details["failed_checks"] == ["max_solver_deviation <= 1e-6"]
+        assert result.details["failed_checks"] == ["max_solver_deviation <= 1e-12"]
 
     def test_nan_grid_cell(self, monkeypatch):
         grid = dynamics.displacement_grid

@@ -1,6 +1,7 @@
 """Tests for the R^4 model, the quotient metric, and the embedding."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from stabmetric import quotient
 from stabmetric.errors import OutsideRegion, SolverDiverged
-from stabmetric.fixtures import _closed_form_pairs, build_fixture
+from stabmetric.fixtures import _closed_form_pairs
 from stabmetric.quotient import (
     QuotPoint,
     dprime,
@@ -19,7 +20,7 @@ from stabmetric.quotient import (
     kron_quot_closed,
     quot_dist_closed,
     quot_dist_inf,
-    quot_dist_pairs,
+    quot_dist_lp,
     quot_minimizer,
     r4_act,
 )
@@ -243,34 +244,35 @@ def looped_to_the_floor(dist, sigma, tau, act) -> float:
 
 
 class TestDescentRule:
-    """The solver moves to the first best of its eight directions; the
-    looped reference sweeps them and moves at the first improvement.  On
-    these objectives the two rules reach the same value bit for bit."""
+    """The pattern search moves to the first best of its eight
+    directions; the looped reference sweeps them and moves at the first
+    improvement.  On these objectives the two rules reach the same value
+    bit for bit."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(st.tuples(_HALF_VECS, _HALF_VECS), tied_pairs()))
     def test_tie_heavy_pairs(self, pair):
         x, y = pair
-        assert quot_dist_pairs([x], [y])[0] == looped_to_the_floor(dprime, x, y, r4_act)
+        assert quot_dist_inf(dprime, x, y, r4_act) == looped_to_the_floor(dprime, x, y, r4_act)
 
     @settings(max_examples=60, deadline=None)
     @given(_STRIP_POINTS, _STRIP_POINTS)
     def test_strip_pairs(self, p, q):
-        assert quot_dist_pairs([p.x], [q.x], math.pi)[0] == looped_to_the_floor(
+        assert quot_dist_inf(d_B_closed, p, q, c_act) == looped_to_the_floor(
             d_B_closed, p, q, c_act)
 
     @settings(max_examples=50, deadline=None)
     @given(scaled_pairs())
     def test_scaled_pairs(self, pair):
         x, y = pair
-        assert quot_dist_pairs([x], [y])[0] == looped_to_the_floor(dprime, x, y, r4_act)
+        assert quot_dist_inf(dprime, x, y, r4_act) == looped_to_the_floor(dprime, x, y, r4_act)
 
     def test_long_descent_reaches_the_closed_form(self):
         # the grid hits v = 1e200 exactly, and the u-part then waits some
         # 660 halvings for a step near 1: 200 sweeps stop at 1.0
         x, y = (0.0, 1e200, 1.0, 1e200), (0.0, 0.0, 0.0, 0.0)
         assert looped_quot_dist_inf(dprime, x, y, r4_act) == 1.0
-        assert quot_dist_pairs([x], [y])[0] == pytest.approx(0.5, abs=1e-12)
+        assert quot_dist_inf(dprime, x, y, r4_act) == pytest.approx(0.5, abs=1e-12)
 
     def test_overflowing_pair_stops_at_once(self):
         calls = 0
@@ -287,42 +289,110 @@ class TestDescentRule:
         assert calls <= 2 + quotient._GRID ** 2 + len(quotient._DIRECTIONS)
 
 
+def closed_form_exact(sigma, tau) -> float:
+    """max(|d3 - d1|, |d4 - d2|) / 2 in Fractions on the float differences
+    d = sigma - tau, rounded once."""
+    d = [Fraction(a - b) for a, b in zip(sigma, tau)]
+    return float(max(abs(d[2] - d[0]), abs(d[3] - d[1])) / 2)
+
+
+@st.composite
+def lp_pairs(draw):
+    """R^4 pairs at one scale from 1e-5 to 1e200: random, tied (|d1 - d3|
+    = |d2 - d4|) or on a common orbit of S lam = (u, s v, u, s v)."""
+    scale = 10.0 ** draw(st.integers(-5, 200))
+    s = draw(st.sampled_from((1.0, math.pi)))
+    unit = st.floats(-1.0, 1.0)
+    tau = tuple(draw(unit) * scale for _ in range(4))
+    kind = draw(st.sampled_from(("random", "tie", "orbit")))
+    if kind == "random":
+        d = [draw(unit) * scale for _ in range(4)]
+    elif kind == "tie":
+        d1, d2, d3 = (draw(unit) * scale for _ in range(3))
+        d = [d1, d2, d3, d2 - draw(st.sampled_from((1.0, -1.0))) * (d1 - d3)]
+    else:
+        u, v = draw(unit) * scale, draw(unit) * scale
+        d = [u, s * v, u, s * v]
+    return tuple(t + e for t, e in zip(tau, d)), tau, s
+
+
+def pattern_search_pairs(sigma, tau):
+    """The pattern search over P R^4 pairs at once, on the objectives
+    max_k |d_k - (S lam)_k|; quot_dist_inf poses one problem at a time."""
+    sigma, tau = np.asarray(sigma), np.asarray(tau)
+
+    def objective(rows, u, v):
+        d = sigma[rows] - tau[rows]
+        return np.max([np.abs(d[:, k, None] - w) for k, w in enumerate((u, v, u, v))], axis=0)
+
+    return quotient._pattern_search(objective, np.abs(sigma - tau).max(axis=1) + 1.0)
+
+
 class TestBatchedSolver:
-    """quot_dist_pairs and the black-box quot_dist_inf share one grid and
-    one pattern search, so they must agree bit for bit, with each other
-    and with the looped reference."""
+    """quot_dist_lp solves P pairs in one batch, and each value is the
+    exact LP optimum: the closed form in Fractions on the same float
+    differences, rounded once.  The pattern search also takes P problems
+    at once, in blocks of grid cells."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lp_pairs())
+    def test_exact_on_tie_orbit_and_scaled_pairs(self, case):
+        sigma, tau, s = case
+        assert quot_dist_lp([sigma], [tau], s)[0] == closed_form_exact(sigma, tau)
 
     def test_looped_reference(self):
+        # the black-box search matches its looped reference bit for bit,
+        # and both reach the exact optimum within the search's tolerance
         sigma, tau = _closed_form_pairs(4)
         pairs = strip_pairs(10, 37)
-        assert quot_dist_pairs(sigma, tau).tolist() == [
-            looped_quot_dist_inf(dprime, x, y, r4_act) for x, y in zip(sigma, tau)]
-        assert quot_dist_pairs([p.x for p, _ in pairs], [q.x for _, q in pairs],
-                               math.pi).tolist() == [
-            looped_quot_dist_inf(d_B_closed, p, q, c_act) for p, q in pairs]
+        exact = quot_dist_lp(sigma, tau)
+        searched = [quot_dist_inf(dprime, x, y, r4_act) for x, y in zip(sigma, tau)]
+        assert searched == [looped_quot_dist_inf(dprime, x, y, r4_act)
+                            for x, y in zip(sigma, tau)]
+        assert np.max(np.abs(exact - searched)) <= 1e-6
+        exact = quot_dist_lp([p.x for p, _ in pairs], [q.x for _, q in pairs], math.pi)
+        searched = [quot_dist_inf(d_B_closed, p, q, c_act) for p, q in pairs]
+        assert searched == [looped_quot_dist_inf(d_B_closed, p, q, c_act) for p, q in pairs]
+        assert np.max(np.abs(exact - searched)) <= 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_r4_pairs_of_the_fixture(self, seed):
         sigma, tau = _closed_form_pairs(seed)
-        batched = quot_dist_pairs(sigma, tau).tolist()
-        assert batched == [quot_dist_inf(dprime, x, y, r4_act) for x, y in zip(sigma, tau)]
+        assert quot_dist_lp(sigma, tau).tolist() == [
+            closed_form_exact(x, y) for x, y in zip(sigma, tau)]
 
     def test_strip_pairs(self):
         pairs = strip_pairs(20, 31)
-        batched = quot_dist_pairs([p.x for p, _ in pairs], [q.x for _, q in pairs], math.pi)
-        assert batched.tolist() == [quot_dist_inf(d_B_closed, p, q, c_act) for p, q in pairs]
+        exact = quot_dist_lp([p.x for p, _ in pairs], [q.x for _, q in pairs], math.pi)
+        assert exact.tolist() == [closed_form_exact(p.x, q.x) for p, q in pairs]
+        assert np.max(np.abs(exact - [kron_quot_closed(p, q) for p, q in pairs])) <= 1e-15
 
     @pytest.mark.parametrize("pairs_per_block", [1, 7])
     def test_grid_blocks_do_not_change_values(self, monkeypatch, pairs_per_block):
         sigma, tau = _closed_form_pairs(5)
-        whole = quot_dist_pairs(sigma, tau).tolist()
+        whole = pattern_search_pairs(sigma, tau).tolist()
         monkeypatch.setattr(quotient, "_BLOCK_CELLS", pairs_per_block * quotient._GRID ** 2)
-        assert quot_dist_pairs(sigma, tau).tolist() == whole
+        assert pattern_search_pairs(sigma, tau).tolist() == whole
 
     def test_single_pair_matches_its_batch(self):
         sigma, tau = _closed_form_pairs(6)
-        batched = quot_dist_pairs(sigma, tau).tolist()
-        assert [quot_dist_pairs([x], [y])[0] for x, y in zip(sigma[:10], tau[:10])] == batched[:10]
+        batched = quot_dist_lp(sigma, tau).tolist()
+        assert [quot_dist_lp([x], [y])[0] for x, y in zip(sigma[:10], tau[:10])] == batched[:10]
+
+    def test_extreme_differences(self):
+        # finite differences near the float range, and subnormal ones
+        big = (1.7e308, -1.7e308, -1.7e308, 1.7e308)
+        tiny = (5e-324, 1e-310, -5e-324, 1e-310)
+        zero = (0.0, 0.0, 0.0, 0.0)
+        assert quot_dist_lp([big, tiny], [zero, zero]).tolist() == [1.7e308, 5e-324]
+
+    def test_non_finite_difference_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            quot_dist_lp([(1e308, 0.0, 0.0, 0.0)], [(-1e308, 0.0, 0.0, 0.0)])
+
+    def test_zero_im_scale_rejected(self):
+        with pytest.raises(ValueError, match="im_scale"):
+            quot_dist_lp([(0.0, 1.0, 0.0, 0.0)], [(0.0, 0.0, 0.0, 0.0)], 0.0)
 
 
 class TestSolverDiverged:
@@ -332,18 +402,12 @@ class TestSolverDiverged:
         monkeypatch.setattr(quotient, "_TOL", -math.inf)
         sigma, tau = _closed_form_pairs(0)
         with pytest.raises(SolverDiverged):
-            quot_dist_pairs(sigma, tau)
+            pattern_search_pairs(sigma, tau)
 
     def test_black_box_solver_raises(self, monkeypatch):
         monkeypatch.setattr(quotient, "_TOL", -math.inf)
         with pytest.raises(SolverDiverged):
             quot_dist_inf(dprime, (0.0, 0.0, 0.5, 0.0), (0.2, 0.1, 0.3, 0.4), r4_act)
-
-    def test_fixture_reports_the_error(self, monkeypatch):
-        monkeypatch.setattr(quotient, "_TOL", -math.inf)
-        result = build_fixture("quotient-closed-form", 0, 512)
-        assert result.passed is False
-        assert result.details["error"] == "SolverDiverged"
 
 
 class TestEmbedding:
