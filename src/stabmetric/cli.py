@@ -10,7 +10,9 @@ is built once per process, on the first call, and every later call of
 `main` parses with that same parser.  `MODELS` holds each point model
 once, and every `--model` list but `quotient-dist`'s comes from it;
 `_points` parses every command's points and rejects a non-finite
-coordinate difference before any array work.
+coordinate difference before any array work.  JSON reports are written
+by `_json_text`, which gives the bytes of `json.dumps(..., indent=2,
+sort_keys=True)` without its per-value generator steps.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from . import dynamics
@@ -144,9 +147,46 @@ def _space(model: str, points):
     return factory(_arrow_count(points)) if hasattr(points[0], "l") else factory()
 
 
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``,
+    with every newline followed by ``pad``'s indent as well.
+
+    json's indented output always runs its pure-Python encoder, one
+    generator step per value; here plain str, int and float leaves are
+    written by the functions that encoder calls, a flat list of plain
+    floats in one join, and any other value (an empty container, a
+    subclass such as a numpy scalar, a non-str key) by json.dumps itself,
+    whose strings hold no raw newline, so its lines take ``pad`` exactly.
+    """
+    kind = type(value)
+    if kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = pad + "  "
+    if kind is dict and value and set(map(type, value)) == {str}:
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if (kind is list or kind is tuple) and value:
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
+            items = map(float.__repr__, value)
+        else:
+            items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", pad)
+
+
 def _emit(payload, args) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _write(text, args)
+    _write(_json_text(payload) + "\n", args)
 
 
 def _emit_csv(header: list[str], rows: list[list], args) -> None:

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate, islice
+from operator import add, sub, truediv
 from typing import Optional
 
 from .errors import (
@@ -146,27 +148,44 @@ def mass_growth_estimate(m: Mat2, seed: MassSeed, n: int) -> list[float]:
 
     Vectors are renormalized every step and the log scales accumulated,
     so the iteration cannot overflow; for generic seeds the sequence
-    converges to the log of the spectral radius.
+    converges to the log of the spectral radius.  Each vector runs its
+    recurrence alone, and the log scales and log-sum-exps then run in
+    map chains: the same math calls on the same operands as one loop
+    over iterates and vectors, in whose order a step norm of zero or
+    beyond the doubles (|z| itself included) raises.
     """
     if not 1 <= n <= MAX_ITERATES:
         raise ValueError(f"n must be in 1..{MAX_ITERATES}, got {n!r}")
     a, b, c, d = m.a, m.b, m.c, m.d
-    hypot, log = math.hypot, math.log
-    norms = [hypot(*v) for v in seed.vectors]
-    logs = [log(s) for s in norms]
-    units = [(v[0] / s, v[1] / s) for v, s in zip(seed.vectors, norms)]
-    out = []
-    for k in range(1, n + 1):
-        for i, (x, y) in enumerate(units):
-            x, y = a * x + b * y, c * x + d * y  # Mat2.apply's expressions, bit for bit
-            s = hypot(x, y)
-            if s == 0.0:
-                raise ValueError(f"seed vector {list(seed.vectors[i])} collapses to zero "
-                                 f"at iterate {k}")
-            logs[i] += log(s)
-            units[i] = (x / s, y / s)
-        out.append(_logsumexp(logs) / k)
-    return out
+    hypot, inf = math.hypot, math.inf
+    runs = []
+    bad = (n + 1, 0, 0.0)  # (iterate, vector, step norm) of the first failure
+    for i, (x, y) in enumerate(seed.vectors):
+        s = hypot(x, y)
+        norms = [s]  # |z|, then the step norms
+        if s < inf:
+            append = norms.append
+            x, y = x / s, y / s
+            for _ in range(bad[0] - 1):
+                x, y = a * x + b * y, c * x + d * y  # Mat2.apply's expressions, bit for bit
+                s = hypot(x, y)
+                append(s)
+                if not 0.0 < s < inf:
+                    break
+                x, y = x / s, y / s
+        k = len(norms) - 1
+        if not 0.0 < s < inf and k < bad[0]:
+            bad = (k, i, s)
+        runs.append(norms)
+    k, i, s = bad
+    if k <= n:
+        what = "collapses to zero" if s == 0.0 else "overflows a double"
+        raise ValueError(f"seed vector {list(seed.vectors[i])} {what} at iterate {k}")
+    log = math.log
+    scales = [list(islice(accumulate(map(log, norms)), 1, None)) for norms in runs]
+    his = list(map(max, zip(*scales)))
+    terms = zip(*[map(math.exp, map(sub, scale, his)) for scale in scales])
+    return list(map(truediv, map(add, his, map(log, map(math.fsum, terms))), range(1, n + 1)))
 
 
 def initial_mass_decay(values: list[float]) -> bool:
@@ -175,11 +194,6 @@ def initial_mass_decay(values: list[float]) -> bool:
     estimates should not be read as the growth rate."""
     head = [k * a for k, a in enumerate(values[:10], start=1)]
     return all(y < x for x, y in zip(head, head[1:]))
-
-
-def _logsumexp(values) -> float:
-    hi = max(values)
-    return hi + math.log(math.fsum([math.exp(v - hi) for v in values]))
 
 
 def h_coordinate(m: Mat2) -> complex:

@@ -132,14 +132,26 @@ class HNProfile:
 
 def central_charge(p: KroneckerPoint, c: ObjectClass) -> complex:
     """Additive charge of the class, with (-1)^shift for the shift."""
-    x1, x2, x3, x4 = p.x
-    z = c.k1 * _cexp(x2, x1) + c.k2 * _cexp(x4, x3)
+    z = c.k1 * _cexp(p, 2) + c.k2 * _cexp(p, 4)
     return -z if c.shift % 2 else z
 
 
-def _cexp(logmod: float, phase_units: float) -> complex:
-    r = math.exp(logmod)
+def _cexp(p: KroneckerPoint, k: int) -> complex:
+    """exp(x_k + i pi x_{k-1}), the charge of the simple with log-modulus x_k."""
+    r = _modulus(p, k)
+    phase_units = p.x[k - 2]
     return complex(r * math.cos(math.pi * phase_units), r * math.sin(math.pi * phase_units))
+
+
+def _modulus(p: KroneckerPoint, k: int, sign: int = 1) -> float:
+    """exp(x_k), or exp(-x_k) for sign -1, for the log-modulus x2 or x4; a
+    value beyond the doubles is an input error that names the coordinate."""
+    v = p.x[k - 1]
+    try:
+        return math.exp(v if sign > 0 else -v)
+    except OverflowError:
+        raise ValueError(f"log-modulus x{k} = {v!r} is out of range: "
+                         f"exp({'' if sign > 0 else '-'}x{k}) overflows a double") from None
 
 
 def hn_profile(p: KroneckerPoint, c: ObjectClass) -> HNProfile:
@@ -149,12 +161,12 @@ def hn_profile(p: KroneckerPoint, c: ObjectClass) -> HNProfile:
     so the factors are S2^{k2} then S1^{k1}; a shift adds n to both
     phases and leaves the mass unchanged.
     """
-    x1, x2, x3, x4 = p.x
+    x1, _, x3, _ = p.x
     factors = []
     if c.k2 > 0:
-        factors.append(HNFactor(ObjectClass(0, c.k2, c.shift), x3 + c.shift, c.k2 * math.exp(x4)))
+        factors.append(HNFactor(ObjectClass(0, c.k2, c.shift), x3 + c.shift, c.k2 * _modulus(p, 4)))
     if c.k1 > 0:
-        factors.append(HNFactor(ObjectClass(c.k1, 0, c.shift), x1 + c.shift, c.k1 * math.exp(x2)))
+        factors.append(HNFactor(ObjectClass(c.k1, 0, c.shift), x1 + c.shift, c.k1 * _modulus(p, 2)))
     mass = math.fsum(f.mass_term for f in factors)
     return HNProfile(tuple(factors), mass, factors[0].phase, factors[-1].phase)
 
@@ -219,7 +231,7 @@ def support_constant(p: KroneckerPoint) -> float:
     """Infimum of admissible support constants: semistable classes are the
     multiples of a single simple, so the worst ratio ||v|| / |Z(v)| is
     max(exp(-x2), exp(-x4))."""
-    return max(math.exp(-p.x[1]), math.exp(-p.x[3]))
+    return max(_modulus(p, 2, -1), _modulus(p, 4, -1))
 
 
 def c_orbit_distance(lam, lam2) -> float:

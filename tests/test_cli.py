@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stabmetric import dynamics, metriclab, quotient
+from stabmetric import cli, dynamics, metriclab, quotient
 from stabmetric.cli import ENV_SEED, build_parser, main
 from stabmetric.fixtures import FINITE_CHECK, FIXTURES
 
@@ -653,12 +655,35 @@ class TestInputBoundary:
     def test_oracle_overflow(self, capsys):
         payload = self.error(capsys, "dist", "--model", "kronecker",
                              "[0,1e308,0.5,0]", "[0,0,0.5,0]")
-        assert payload["error"] == "OverflowError"
+        assert payload == {"error": "ValueError", "message": "log-modulus x2 = 1e+308 is "
+                           "out of range: exp(x2) overflows a double"}
+
+    # a log-modulus whose exp leaves the doubles is named with its value
+    @pytest.mark.parametrize("argv, message", [
+        (("dist", "--model", "kronecker", "[0,800,0.5,0]", "[0,0,0.5,0]"),
+         "log-modulus x2 = 800.0 is out of range: exp(x2) overflows a double"),
+        (("hn", "--point", "[0,1e308,0.5,0]", "--object-class", '{"k":[1,1]}'),
+         "log-modulus x2 = 1e+308 is out of range: exp(x2) overflows a double"),
+        (("hn", "--point", "[0,-800,0.5,0]", "--object-class", '{"k":[1,1]}'),
+         "log-modulus x2 = -800.0 is out of range: exp(-x2) overflows a double"),
+        (("hn", "--point", "[0,0,0.5,-800]", "--object-class", '{"k":[1,0]}'),
+         "log-modulus x4 = -800.0 is out of range: exp(-x4) overflows a double"),
+    ], ids=["dist", "hn-mass", "hn-support-x2", "hn-support-x4"])
+    def test_log_modulus_overflow_named(self, capsys, argv, message):
+        assert self.error(capsys, *argv) == {"error": "ValueError", "message": message}
 
     def test_collapsing_mass_seed_named(self, capsys):
         payload = self.error(capsys, "mass-growth", "--matrix", "[[1,1],[1,1]]",
                              "--seed-vectors", "[[1,-1]]")
         assert "[1.0, -1.0]" in payload["message"]
+
+    def test_overflowing_mass_seed_named(self, capsys):
+        # |M u| leaves the doubles at iterate 2; the unit vector (0, 0) it
+        # would leave behind is not reported as a collapse at iterate 3
+        payload = self.error(capsys, "mass-growth", "--matrix", "[[1e308,1e308],[1e308,1e308]]",
+                             "-n", "5")
+        assert payload == {"error": "ValueError",
+                           "message": "seed vector [1.0, 0.0] overflows a double at iterate 2"}
 
     @pytest.mark.parametrize("argv", [
         ("embed-check", "-n", "-5"),
@@ -792,7 +817,8 @@ class TestInputBoundary:
          "sample count must be in 0..100000, got 100001"),
     ])
     def test_count_above_bound(self, capsys, monkeypatch, argv, bound, message):
-        for name in ("stabmetric.dynamics._logsumexp", "stabmetric.quotient.random_region_vector"):
+        # the first calls of the mass iteration and of the strip draws
+        for name in ("math.hypot", "numpy.random.default_rng"):
             monkeypatch.setattr(name, lambda *args: pytest.fail("work started"))
         payload = self.error(capsys, *argv, "-n", str(bound + 1))
         assert payload == {"error": "ValueError", "message": message}
@@ -894,3 +920,62 @@ class TestPackageRoot:
         ])
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def json_values(leaves):
+    """Recursive JSON-like values over ``leaves``: lists, tuples and dicts
+    with str keys, empty ones included, and flat lists of floats."""
+    return st.recursive(
+        leaves | st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+        lambda children: (st.lists(children, max_size=5)
+                          | st.lists(children, max_size=5).map(tuple)
+                          | st.dictionaries(st.text(max_size=8), children, max_size=5)),
+        max_leaves=20,
+    )
+
+
+FLOAT_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308,
+                               1.7976931348623157e308, 0.1, 1e16, 1e-7])
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.integers(-(10 ** 400), 10 ** 400) | FLOAT_EDGES
+               | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+
+
+def dumps_outcome(write, value):
+    """What ``write(value)`` returns, or the type and message of what it raises."""
+    try:
+        return write(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_text(value):
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values(JSON_LEAVES))
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == reference_text(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values(JSON_LEAVES | st.sampled_from([math.nan, math.inf, -math.inf])))
+    def test_non_finite_raises_as_json_dumps(self, value):
+        assert dumps_outcome(cli._json_text, value) == dumps_outcome(reference_text, value)
+
+    @pytest.mark.parametrize("value", [
+        [np.float64(1.5), 2.0], {"a": np.float64(-0.0)}, np.float64(1e308), [np.int64(3)],
+        {1: "a", 2: [1.0]}, {"k": {3: [1.0, {"z": 1}]}}, {1: 1, "a": 2}, [1.0, True],
+        {"x": [np.float64("nan")]}, {1: math.nan}, [1.0, 2.0, -math.inf, math.nan],
+        {"b": [[], {}, ()], "a": ("\u00e9\n\x00", None)}, {"k": object()},
+    ], ids=["float64-list", "float64-value", "float64-top", "int64", "int-keys",
+            "nested-int-keys", "mixed-keys", "float-and-bool", "float64-nan", "int-key-nan",
+            "first-non-finite", "empty-containers", "unknown-type"])
+    def test_fallback_cases(self, value):
+        assert dumps_outcome(cli._json_text, value) == dumps_outcome(reference_text, value)
+
+    def test_nested_fallback_indents(self):
+        value = {"outer": [{"inner": {2: [1.0, "x"]}}]}
+        assert cli._json_text(value) == reference_text(value)
+        assert "\n          1.0" in cli._json_text(value)

@@ -1,6 +1,7 @@
 """Tests for pseudo-Anosov classification and the half-plane dynamics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -287,9 +288,14 @@ class TestHalfPlane:
 
 
 def reference_mass_growth(m, seed, n):
-    """Reference for ``mass_growth_estimate``: the loop through ``m.apply``
-    and the module-level ``math`` functions that it inlines."""
+    """Reference for ``mass_growth_estimate``: one sequential loop through
+    ``m.apply`` and the module-level ``math`` functions, iterate by
+    iterate and vector by vector."""
     norms = [math.hypot(*v) for v in seed.vectors]
+    for i, s in enumerate(norms):
+        if s == math.inf:
+            raise ValueError(f"seed vector {list(seed.vectors[i])} overflows a double "
+                             f"at iterate 0")
     logs = [math.log(s) for s in norms]
     units = [(v[0] / s, v[1] / s) for v, s in zip(seed.vectors, norms)]
     out = []
@@ -299,6 +305,9 @@ def reference_mass_growth(m, seed, n):
             s = math.hypot(*w)
             if s == 0.0:
                 raise ValueError(f"seed vector {list(seed.vectors[i])} collapses to zero "
+                                 f"at iterate {k}")
+            if not s < math.inf:
+                raise ValueError(f"seed vector {list(seed.vectors[i])} overflows a double "
                                  f"at iterate {k}")
             logs[i] += math.log(s)
             units[i] = (w[0] / s, w[1] / s)
@@ -317,7 +326,24 @@ class TestMassGrowthReference:
     ])
     def test_bit_for_bit(self, m, vectors):
         seed = MassSeed(vectors)
-        assert mass_growth_estimate(m, seed, 2000) == reference_mass_growth(m, seed, 2000)
+        values = mass_growth_estimate(m, seed, 2000)
+        assert list(map(float.hex, values)) == list(map(float.hex, reference_mass_growth(
+            m, seed, 2000)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4),
+           st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+                    .filter(lambda v: v != (0.0, 0.0)), min_size=1, max_size=4),
+           st.integers(1, 300))
+    def test_random_bit_for_bit(self, entries, vectors, n):
+        m, seed = Mat2(*entries), MassSeed(tuple(vectors))
+        try:
+            expected = list(map(float.hex, reference_mass_growth(m, seed, n)))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                mass_growth_estimate(m, seed, n)
+        else:
+            assert list(map(float.hex, mass_growth_estimate(m, seed, n))) == expected
 
     @pytest.mark.parametrize("m, vectors, message", [
         (Mat2(1.0, 1.0, 1.0, 1.0), ((1.0, -1.0),),
@@ -334,6 +360,34 @@ class TestMassGrowthReference:
         with pytest.raises(ValueError) as inlined:
             mass_growth_estimate(m, seed, 10)
         assert str(inlined.value) == str(reference.value) == message
+
+    # |M u| beyond the doubles at iterate k is named there, not as the
+    # collapse of the unit vector (0, 0) that it leaves, nor as a NaN report
+    @pytest.mark.parametrize("m, vectors, message", [
+        (Mat2(1e308, 1e308, 1e308, 1e308), ((1.0, 0.0),),
+         "seed vector [1.0, 0.0] overflows a double at iterate 2"),
+        (Mat2(1e308, 1e308, -1e308, -1e308), ((1.0, 1.0),),
+         "seed vector [1.0, 1.0] overflows a double at iterate 1"),
+        (Mat2(1e308, 1e308, 1e308, 1e308), ((1.0, 0.0), (1.0, 1.0), (1.0, -1.0)),
+         "seed vector [1.0, 1.0] overflows a double at iterate 1"),
+        (Mat2(1e308, 1e308, 1e308, 1e308), ((1.0, 0.0), (1.0, -1.0)),
+         "seed vector [1.0, -1.0] collapses to zero at iterate 1"),
+        (Mat2(0.0, 1.0, 0.0, 0.0), ((1.0, 2.0), (1.5e308, 1.5e308)),
+         "seed vector [1.5e+308, 1.5e+308] overflows a double at iterate 0"),
+    ])
+    def test_overflow_message(self, m, vectors, message):
+        seed = MassSeed(vectors)
+        with pytest.raises(ValueError) as reference:
+            reference_mass_growth(m, seed, 10)
+        with pytest.raises(ValueError) as inlined:
+            mass_growth_estimate(m, seed, 10)
+        assert str(inlined.value) == str(reference.value) == message
+
+    def test_overflow_at_last_iterate(self):
+        # the last step's norm is inf: no NaN estimate comes back
+        seed = MassSeed.of((1.0, 0.0))
+        with pytest.raises(ValueError, match="overflows a double at iterate 2"):
+            mass_growth_estimate(Mat2(1e308, 1e308, 1e308, 1e308), seed, 2)
 
 
 class TestMassGrowth:

@@ -31,6 +31,7 @@ from stabmetric.stabmodel import (
     central_charge,
     d_B_closed,
     random_region_point,
+    random_region_vector,
 )
 
 
@@ -457,3 +458,26 @@ class TestIsometryReport:
         first = list(iter_isometry_samples(20, seed=9))
         second = list(iter_isometry_samples(20, seed=9))
         assert first == second
+
+
+def looped_isometry_samples(n, seed):
+    """Reference for ``iter_isometry_samples``: two ``random_region_vector``
+    calls per pair, each of them four scalar draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        x = random_region_vector(rng)
+        y = random_region_vector(rng)
+        yield (abs(d_B_closed(embed_q(x), embed_q(y)) - dprime(x, y)),
+               abs(quot_dist_closed(QuotPoint.from_vector(x), QuotPoint.from_vector(y))
+                   - kron_quot_closed(embed_q(x), embed_q(y))))
+
+
+class TestBlockedDraws:
+    # 1025 and 3000 pairs cross the block boundary of quotient._DRAW_PAIRS
+    @pytest.mark.parametrize("n", [0, 1, 100, 1025, 3000])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_scalar_draws(self, seed, n):
+        def hexed(samples):
+            return [(dm.hex(), dq.hex()) for dm, dq in samples]
+
+        assert hexed(iter_isometry_samples(n, seed)) == hexed(looped_isometry_samples(n, seed))
