@@ -410,7 +410,8 @@ def _cmd_sweep(args) -> int:
             rows.append([delta, cert.margin, witness.real, witness.imag])
         _emit_csv(["delta", "margin", "witness_re", "witness_im"], rows, args)
         return 0
-    rows = [[i, dm, dq] for i, (dm, dq) in enumerate(quotient.iter_isometry_samples(args.n, seed))]
+    samples = quotient.isometry_samples(args.n, seed).tolist()
+    rows = [[i, dm, dq] for i, (dm, dq) in enumerate(samples)]
     _emit_csv(["index", "metric_deviation", "quotient_deviation"], rows, args)
     return 0
 

@@ -241,24 +241,30 @@ def _half_plane_distance(gap, y1, y2, acosh):
 
 def mobius_apply(f: Autoeq, z: complex) -> complex:
     z = _as_upper(z)
-    return complex(*_mobius_parts(f, z.real, z.imag))
+    a, b, c, d = (float(v) for v in (f.a, f.b, f.c, f.d))
+    return complex(*_mobius_parts(a, b, c, d, z.real, z.imag))
 
 
-def _mobius_parts(f: Autoeq, x, y):
-    """Real and imaginary parts of f(x + iy), for floats or arrays x, y."""
+def _mobius_parts(a, b, c, d, x, y):
+    """Real and imaginary parts of f(x + iy) from the float entries a, b, c, d
+    of f, for floats or arrays x, y; the entries may be arrays that
+    broadcast against them."""
     # the imaginary part is det * y / |cz + d|^2 = y / |cz + d|^2, det being 1;
     # naive complex division cancels catastrophically for huge integer entries
-    a, b, c, d = float(f.a), float(f.b), float(f.c), float(f.d)
     den = (c * x + d) ** 2 + (c * y) ** 2
     re = (a * x + b) * (c * x + d) + a * c * y * y
     return re / den, y / den
 
 
-def displacement_grid(f: Autoeq, x, y):
+def displacement_grid(fs, x, y):
     """poincare_distance(z, mobius_apply(f, z)) at every z = x + iy of the
-    numpy arrays x and y > 0, in one array evaluation of the same formulas."""
+    numpy arrays x and y > 0, for each Autoeq f of the sequence fs: an
+    array of shape (len(fs), *x.shape), in one array evaluation of the
+    same formulas, whose slice i is the values for fs[i] alone."""
     import numpy as np
-    fx, fy = _mobius_parts(f, x, y)
+    entries = np.array([[float(v) for v in (f.a, f.b, f.c, f.d)] for f in fs])
+    a, b, c, d = entries.T.reshape(4, len(fs), *(1,) * np.ndim(x))
+    fx, fy = _mobius_parts(a, b, c, d, x, y)
     return _half_plane_distance(np.hypot(x - fx, y - fy), y, fy, np.arccosh)
 
 

@@ -20,7 +20,10 @@ to the best of eight directions or halves its step.
 The embedding q sends a vector of the strip 0 < x3 - x1 < 1 to the
 Kronecker point with the same coordinates; it intertwines the two
 actions up to the Im/pi reparameterization and is isometric for both
-the plain and the quotient metrics.
+the plain and the quotient metrics.  ``isometry_samples`` measures both
+deviations on random strip pairs in array blocks, with the operations
+of the scalar closed forms in their operand order, so its rows are the
+values those forms give pair by pair.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverDiverged
-from .stabmodel import KroneckerPoint, d_B_closed, sup_abs
+# d_B_closed stays bound here: perfbench/spans.py wraps quotient.d_B_closed
+from .stabmodel import REGION_HIGH, REGION_LOW, KroneckerPoint, d_B_closed, region_rows, sup_abs
 
 
 def dprime(x, y) -> float:
@@ -90,11 +94,8 @@ _TOL = 1e-9  # how far the descent may end above the coarse-grid minimum
 _MAX_STEPS = 1600  # descent steps: a box 1e308 wide needs about 1070 halvings
 _STEP_FLOOR = 1e-13
 _BLOCK_CELLS = 1 << 16  # grid cells evaluated per array op
-MAX_SAMPLES = 100_000  # iter_isometry_samples' n; embed-check takes seconds here
-# stabmodel.random_region_vector's draws x1, gap, x2, x4, as the columns of one block
-_STRIP_LOW = np.array([-2.0, 0.05, -1.5, -1.5])
-_STRIP_HIGH = np.array([2.0, 0.95, 1.5, 1.5])
-_DRAW_PAIRS = 1024  # strip pairs drawn per rng call
+MAX_SAMPLES = 100_000  # isometry_samples' n; embed-check takes seconds here
+_DRAW_PAIRS = 1024  # strip pairs drawn and measured per block
 
 
 def _pattern_search(objective, box: np.ndarray) -> np.ndarray:
@@ -301,27 +302,44 @@ class IsometryReport:
     max_quotient_deviation: float
 
 
-def iter_isometry_samples(n: int, seed: int = 0):
-    """Yield per-pair deviations (metric, quotient) for n random strip pairs.
+def isometry_samples(n: int, seed: int = 0) -> np.ndarray:
+    """Per-pair deviations (metric, quotient) for n random strip pairs, as
+    the rows of an (n, 2) array.
 
-    The pairs are stabmodel.random_region_vector's, two per pair: its four
-    scalar draws per vector are the same doubles as one row of a
-    ``rng.uniform`` block, which is drawn for up to _DRAW_PAIRS pairs at once.
+    The pairs are stabmodel.random_region_vector's, two per pair, drawn
+    as the rows of one ``rng.uniform`` block for up to _DRAW_PAIRS pairs
+    (the same doubles as the scalar draws) and checked against the strip
+    a block at a time, as ``embed_q`` checks them (OutsideRegion).  Each
+    block is measured with the array forms of ``d_B_closed`` against
+    ``dprime`` and of ``quot_dist_closed`` against ``kron_quot_closed``:
+    the same operations on the same operands, so every value is the one
+    the scalar forms give for that pair.
     """
     if not 0 <= n <= MAX_SAMPLES:
         raise ValueError(f"sample count must be in 0..{MAX_SAMPLES}, got {n!r}")
     rng = np.random.default_rng(seed)
+    out = np.empty((n, 2))
     for start in range(0, n, _DRAW_PAIRS):
-        rows = rng.uniform(_STRIP_LOW, _STRIP_HIGH, (2 * min(_DRAW_PAIRS, n - start), 4))
-        vectors = [(x1, x2, x1 + gap, x4) for x1, gap, x2, x4 in rows.tolist()]
-        for x, y in zip(vectors[::2], vectors[1::2]):
-            px, py = embed_q(x), embed_q(y)
-            dev_metric = abs(d_B_closed(px, py) - dprime(x, y))
-            dev_quot = abs(
-                quot_dist_closed(QuotPoint.from_vector(x), QuotPoint.from_vector(y))
-                - kron_quot_closed(px, py)
-            )
-            yield dev_metric, dev_quot
+        rows = region_rows(rng.uniform(REGION_LOW, REGION_HIGH,
+                                       (2 * min(_DRAW_PAIRS, n - start), 4)))
+        x, y = rows[0::2], rows[1::2]
+        d = x - y
+        metric = _sup_rows(d)  # d_B_closed(embed_q(x), embed_q(y))
+        plain = _sup_rows(d)  # dprime(x, y)
+        # quot_dist_closed on the canonical representatives (0, 0, x3 - x1, x4 - x2)
+        quot = _sup_rows((y[:, 2:] - y[:, :2]) - (x[:, 2:] - x[:, :2])) / 2.0
+        # kron_quot_closed: the translate of y by the averaged parameter, measured from x
+        re = 0.5 * (d[:, 0] + d[:, 2])
+        im = math.pi * ((d[:, 1] + d[:, 3]) / (2.0 * math.pi))
+        kron = _sup_rows((y + np.column_stack((re, im, re, im))) - x)
+        out[start:start + len(x)] = np.column_stack((np.abs(metric - plain),
+                                                     np.abs(quot - kron)))
+    return out
+
+
+def _sup_rows(d: np.ndarray) -> np.ndarray:
+    """sup_abs of each row, NaN kept."""
+    return np.abs(d).max(axis=1)
 
 
 def isometry_report(n: int, seed: int = 0) -> IsometryReport:
@@ -329,5 +347,5 @@ def isometry_report(n: int, seed: int = 0) -> IsometryReport:
     a maximum over no pairs would certify nothing."""
     if n < 1:
         raise ValueError(f"sample count must be at least 1, got {n!r}")
-    dev_m, dev_q = np.max(list(iter_isometry_samples(n, seed)), axis=0).tolist()
+    dev_m, dev_q = isometry_samples(n, seed).max(axis=0).tolist()
     return IsometryReport(n, seed, dev_m, dev_q)

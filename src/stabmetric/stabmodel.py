@@ -131,8 +131,11 @@ class HNProfile:
 
 
 def central_charge(p: KroneckerPoint, c: ObjectClass) -> complex:
-    """Additive charge of the class, with (-1)^shift for the shift."""
-    z = c.k1 * _cexp(p, 2) + c.k2 * _cexp(p, 4)
+    """Additive charge of the class, with (-1)^shift for the shift.  Only
+    the simples the class contains are evaluated, so a log-modulus beyond
+    the doubles matters only when its multiplicity is nonzero."""
+    first, *rest = (k * _cexp(p, j) for k, j in ((c.k1, 2), (c.k2, 4)) if k)
+    z = sum(rest, first)
     return -z if c.shift % 2 else z
 
 
@@ -234,9 +237,14 @@ def support_constant(p: KroneckerPoint) -> float:
     return max(_modulus(p, 2, -1), _modulus(p, 4, -1))
 
 
-def c_orbit_distance(lam, lam2) -> float:
+def c_orbit_distance(lam, lam2):
     """Induced metric on any translation orbit: max{|Re|, pi |Im|} of the
-    parameter difference."""
+    parameter difference.  Given a numpy array, it is the same operations
+    elementwise (an array, NaN kept); given scalars, a float."""
+    if isinstance(lam, np.ndarray) or isinstance(lam2, np.ndarray):
+        with np.errstate(over="ignore", invalid="ignore"):  # as complex arithmetic
+            z = np.subtract(lam, lam2, dtype=complex)
+            return np.maximum(np.abs(z.real), np.abs(math.pi * z.imag))
     z = complex(lam) - complex(lam2)
     return sup_abs((z.real, math.pi * z.imag))
 
@@ -247,9 +255,31 @@ def random_region_point(rng) -> KroneckerPoint:
     return KroneckerPoint(random_region_vector(rng))
 
 
+# the bounds of random_region_vector's draws x1, gap, x2, x4; as the
+# column bounds of one rng.uniform block, each row of the block is the
+# same doubles as one call
+REGION_LOW = (-2.0, 0.05, -1.5, -1.5)
+REGION_HIGH = (2.0, 0.95, 1.5, 1.5)
+
+
 def random_region_vector(rng) -> tuple[float, float, float, float]:
-    x1 = float(rng.uniform(-2.0, 2.0))
-    gap = float(rng.uniform(0.05, 0.95))
-    x2 = float(rng.uniform(-1.5, 1.5))
-    x4 = float(rng.uniform(-1.5, 1.5))
+    x1, gap, x2, x4 = (float(rng.uniform(lo, hi)) for lo, hi in zip(REGION_LOW, REGION_HIGH))
     return (x1, x2, x1 + gap, x4)
+
+
+def region_rows(draws: np.ndarray) -> np.ndarray:
+    """The vectors (x1, x2, x1 + gap, x4) of random_region_vector from the
+    first four columns (x1, gap, x2, x4) of a draw block."""
+    x = draws[:, [0, 2, 0, 3]]
+    x[:, 2] += draws[:, 1]
+    return strip_rows(x)
+
+
+def strip_rows(x: np.ndarray) -> np.ndarray:
+    """The (m, 4) coordinate rows x, each checked as KroneckerPoint checks
+    its point: OutsideRegion names the first row with x3 - x1 not in (0, 1)."""
+    gap = x[:, 2] - x[:, 0]
+    outside = ~((gap > 0.0) & (gap < 1.0))
+    if outside.any():
+        raise OutsideRegion(f"x3 - x1 = {float(gap[outside.argmax()])!r} is not in (0, 1)")
+    return x

@@ -127,6 +127,17 @@ class TestHN:
         assert payload["profile"]["mass"] == pytest.approx(5.0, abs=1e-12)
         assert payload["profile"]["phi_plus"] == pytest.approx(1.0)
 
+    def test_absent_simple_may_leave_the_doubles(self, capsys):
+        # x2 = 1e308 does not enter the charge, profile or support constant of S2
+        code, out, err = run(capsys, "hn", "--point", "[0,1e308,0.5,0]",
+                             "--object-class", '{"k":[0,1]}')
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert (code, err) == (0, "")
+        re_part, im_part = payload["central_charge"]
+        assert math.isfinite(re_part) and im_part == 1.0
+        assert payload["profile"]["mass"] == 1.0
+        assert payload["support_constant"] == 1.0
+
 
 class TestChecks:
     def test_cat0_violation(self, capsys):
@@ -357,7 +368,7 @@ class TestFixturesCommand:
     def test_inf_detail_fails_its_fixture_and_exits_1(self, capsys, monkeypatch):
         # +inf passes `min_grid_margin >= 0`, but a report with it does not pass
         monkeypatch.setattr(dynamics, "displacement_grid",
-                            lambda f, x, y: np.full(np.shape(x), np.inf))
+                            lambda fs, x, y: np.full((len(fs), *x.shape), np.inf))
         code, out, err = run(capsys, "fixtures", "--filter", "translation-length")
         payload = json.loads(out, parse_constant=pytest.fail)
         [result] = payload["results"]

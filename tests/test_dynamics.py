@@ -15,6 +15,7 @@ from stabmetric.errors import (
     NotPseudoAnosov,
     NotUnimodular,
 )
+from stabmetric import dynamics
 from stabmetric.dynamics import (
     HUGE_TRACE,
     PA_TABLE,
@@ -279,12 +280,44 @@ class TestHalfPlane:
         x, y = np.meshgrid(np.linspace(-3, 3, 21), np.geomspace(0.05, 20, 21), indexing="ij")
         for _ in range(20):
             mat = random_unimodular_hyperbolic(rng)
-            grid = displacement_grid(mat, x, y)
+            grid = displacement_grid([mat], x, y)[0]
             assert grid.shape == x.shape
             for (i, j), value in np.ndenumerate(grid):
                 z = complex(x[i, j], y[i, j])
                 scalar = poincare_distance(z, mobius_apply(mat, z))
                 assert value == pytest.approx(scalar, rel=1e-14, abs=1e-15)
+
+
+def per_matrix_grid(f, x, y):
+    """Reference for the batched ``displacement_grid``: one matrix's grid,
+    with its entries as Python floats."""
+    fx, fy = dynamics._mobius_parts(float(f.a), float(f.b), float(f.c), float(f.d), x, y)
+    return dynamics._half_plane_distance(np.hypot(x - fx, y - fy), y, fy, np.arccosh)
+
+
+class TestBatchedDisplacementGrid:
+    """Slice i of the batched grid is fs[i]'s own grid, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 20, 100])
+    def test_matches_per_matrix_grids(self, chunk):
+        rng = np.random.default_rng([3, 9])
+        mats = [random_unimodular_hyperbolic(rng) for _ in range(100)]
+        x, y = np.meshgrid(np.linspace(-3, 3, 21), np.geomspace(0.05, 20, 21), indexing="ij")
+        for lo in range(0, len(mats), chunk):
+            grids = displacement_grid(mats[lo:lo + chunk], x, y)
+            assert grids.shape == (len(mats[lo:lo + chunk]), *x.shape)
+            for f, grid in zip(mats[lo:lo + chunk], grids):
+                assert [v.hex() for v in grid.ravel().tolist()] == [
+                    v.hex() for v in per_matrix_grid(f, x, y).ravel().tolist()]
+
+    def test_any_point_shape(self):
+        mats = [Autoeq(2, 1, 1, 1), Autoeq(-5, 2, 2, -1), Autoeq(1, 1, 0, 1)]
+        x, y = np.linspace(-2.0, 2.0, 7), np.geomspace(0.1, 10.0, 7)
+        grids = displacement_grid(mats, x, y)
+        assert grids.shape == (3, 7)
+        assert [[v.hex() for v in row] for row in grids.tolist()] == [
+            [v.hex() for v in per_matrix_grid(f, x, y).tolist()] for f in mats]
+        assert displacement_grid([], x, y).shape == (0, 7)
 
 
 def reference_mass_growth(m, seed, n):

@@ -4,6 +4,7 @@ bound) records, and ``build_fixture`` alone turns them into verdicts."""
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from stabmetric import dynamics, metriclab, quotient
@@ -106,9 +107,9 @@ class TestNanFails:
     def test_nan_grid_cell(self, monkeypatch):
         grid = dynamics.displacement_grid
 
-        def nan_cell(mat, x, y):
-            out = grid(mat, x, y)
-            out[0, 0] = math.nan
+        def nan_cell(fs, x, y):
+            out = grid(fs, x, y)
+            out[0, 0, 0] = math.nan
             return out
 
         monkeypatch.setattr(dynamics, "displacement_grid", nan_cell)
@@ -128,8 +129,8 @@ class TestNanFails:
         assert result.details["failed_checks"] == ["max_pair_deviation <= 1e-12"]
 
     def test_nan_isometry_sample(self, monkeypatch):
-        monkeypatch.setattr(quotient, "iter_isometry_samples",
-                            lambda n, seed: iter([(0.0, 0.0), (math.nan, 0.0), (0.0, 0.0)]))
+        monkeypatch.setattr(quotient, "isometry_samples",
+                            lambda n, seed: np.array([[0.0, 0.0], [math.nan, 0.0], [0.0, 0.0]]))
         assert math.isnan(quotient.isometry_report(3).max_metric_deviation)
 
     def test_nan_in_the_last_row_block(self, monkeypatch):

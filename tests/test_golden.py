@@ -66,6 +66,7 @@ def _check_cases() -> dict[str, list[str]]:
 CASES: dict[str, list[str]] = {
     "fixtures-seed0": ["fixtures", "--seed", "0", "--resolution", "512"],
     "fixtures-seed1": ["fixtures", "--seed", "1", "--resolution", "512"],
+    "fixtures-seed3": ["fixtures", "--seed", "3", "--resolution", "512"],
     # one sample a side finds no violation: 6 failed checks in 3 fixtures
     "fixtures-r1": ["fixtures", "--resolution", "1"],
     # the README's command-line examples; its bare `stabmetric fixtures`

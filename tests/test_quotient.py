@@ -16,7 +16,7 @@ from stabmetric.quotient import (
     dprime,
     embed_q,
     isometry_report,
-    iter_isometry_samples,
+    isometry_samples,
     kron_quot_closed,
     quot_dist_closed,
     quot_dist_inf,
@@ -455,13 +455,13 @@ class TestIsometryReport:
         assert rep.max_quotient_deviation <= 1e-12
 
     def test_samples_are_deterministic(self):
-        first = list(iter_isometry_samples(20, seed=9))
-        second = list(iter_isometry_samples(20, seed=9))
+        first = isometry_samples(20, seed=9).tolist()
+        second = isometry_samples(20, seed=9).tolist()
         assert first == second
 
 
 def looped_isometry_samples(n, seed):
-    """Reference for ``iter_isometry_samples``: two ``random_region_vector``
+    """Reference for ``isometry_samples``: two ``random_region_vector``
     calls per pair, each of them four scalar draws."""
     rng = np.random.default_rng(seed)
     for _ in range(n):
@@ -480,4 +480,10 @@ class TestBlockedDraws:
         def hexed(samples):
             return [(dm.hex(), dq.hex()) for dm, dq in samples]
 
-        assert hexed(iter_isometry_samples(n, seed)) == hexed(looped_isometry_samples(n, seed))
+        assert hexed(isometry_samples(n, seed).tolist()) == hexed(looped_isometry_samples(n, seed))
+
+    def test_row_outside_the_strip_is_named(self, monkeypatch):
+        # gaps drawn up to 3 leave the strip; the block check names the row
+        monkeypatch.setattr(quotient, "REGION_HIGH", (2.0, 3.0, 1.5, 1.5))
+        with pytest.raises(OutsideRegion, match=r"^x3 - x1 = .* is not in \(0, 1\)$"):
+            isometry_samples(100, 0)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from stabmetric.errors import OutsideRegion
 from stabmetric.metriclab import as_jsonable
 from stabmetric.stabmodel import (
+    REGION_HIGH,
+    REGION_LOW,
     KroneckerPoint,
     ObjectClass,
     c_act,
@@ -20,6 +22,9 @@ from stabmetric.stabmodel import (
     d_B_sampled,
     hn_profile,
     random_region_point,
+    random_region_vector,
+    region_rows,
+    strip_rows,
     sup_abs,
     support_constant,
 )
@@ -93,6 +98,22 @@ class TestCentralCharge:
     def test_outside_region(self):
         with pytest.raises(OutsideRegion):
             central_charge(KroneckerPoint((0.5, 0.0, 0.3, 0.0)), ObjectClass(1, 0))
+
+    @pytest.mark.parametrize("x, cls", [
+        ((0.0, 1e308, 0.5, 0.0), ObjectClass(0, 1)),
+        ((0.0, 0.0, 0.5, 1e308), ObjectClass(2, 0, 1)),
+    ])
+    def test_absent_simple_not_evaluated(self, x, cls):
+        # exp of the other log-modulus overflows, but the class does not contain it
+        z = central_charge(KroneckerPoint(x), cls)
+        assert math.isfinite(z.real) and math.isfinite(z.imag)
+        with pytest.raises(ValueError, match="out of range"):
+            central_charge(KroneckerPoint(x), ObjectClass(1, 1))
+
+    def test_mixed_class_sums_both_simples(self):
+        p = KroneckerPoint((0.3, -0.4, 0.8, 1.1))
+        one, two = central_charge(p, ObjectClass(1, 0)), central_charge(p, ObjectClass(0, 1))
+        assert central_charge(p, ObjectClass(3, 2)) == 3 * one + 2 * two
 
 
 class TestHNProfile:
@@ -320,6 +341,26 @@ class TestOrbitDistance:
         # inf - inf is NaN in one part; the other part's difference is 0
         assert math.isnan(c_orbit_distance(z, z))
 
+    def test_arrays_match_scalar_calls_bit_for_bit(self):
+        # every pair of parts from the list, NaN, infinities and -0.0 included,
+        # as complex arrays against one scalar call per element
+        parts = [0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324]
+        grid = np.array([complex(re, im) for re in parts for im in parts])
+        a, b = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+        out = c_orbit_distance(a, b)
+        assert isinstance(out, np.ndarray) and out.shape == a.shape
+        assert [v.hex() for v in out.tolist()] == [
+            c_orbit_distance(u, v).hex() for u, v in zip(a.tolist(), b.tolist())]
+        # one side an array: the other broadcasts, as the fixture calls it
+        assert [v.hex() for v in c_orbit_distance(0.0, grid).tolist()] == [
+            c_orbit_distance(0.0, v).hex() for v in grid.tolist()]
+        assert [v.hex() for v in c_orbit_distance(grid, 1j).tolist()] == [
+            c_orbit_distance(v, 1j).hex() for v in grid.tolist()]
+
+    def test_scalar_call_returns_float(self):
+        assert type(c_orbit_distance(0, 1)) is float
+        assert type(c_orbit_distance(np.complex128(1j), 0)) is float
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.complex_numbers(max_magnitude=50.0, allow_nan=False, allow_infinity=False),
@@ -342,6 +383,26 @@ class TestOrbitDistance:
             assert c_orbit_distance(a + mu, b + mu) == pytest.approx(
                 c_orbit_distance(a, b), abs=1e-12
             )
+
+
+class TestRegionRows:
+    def test_block_rows_are_the_scalar_vectors(self):
+        block = np.random.default_rng(41).uniform(REGION_LOW, REGION_HIGH, (30, 4))
+        rng = np.random.default_rng(41)
+        assert region_rows(block).tolist() == [list(random_region_vector(rng))
+                                                for _ in range(30)]
+
+    @pytest.mark.parametrize("bad", [1.0, 0.0, -0.5, math.nan])
+    def test_first_row_outside_is_named_as_the_point_names_it(self, bad):
+        rows = np.array([[0.0, 0.0, 0.5, 0.0], [0.25, 0.0, 0.25 + bad, 0.0],
+                         [0.0, 0.0, 7.0, 0.0]])
+        with pytest.raises(OutsideRegion) as point_error:
+            KroneckerPoint(tuple(rows[1]))
+        with pytest.raises(OutsideRegion) as rows_error:
+            strip_rows(rows)
+        assert str(rows_error.value) == str(point_error.value)
+        inside = rows[:1]
+        assert strip_rows(inside) is inside
 
 
 class TestSerialization:
