@@ -21,9 +21,11 @@ The embedding q sends a vector of the strip 0 < x3 - x1 < 1 to the
 Kronecker point with the same coordinates; it intertwines the two
 actions up to the Im/pi reparameterization and is isometric for both
 the plain and the quotient metrics.  ``isometry_samples`` measures both
-deviations on random strip pairs in array blocks, with the operations
-of the scalar closed forms in their operand order, so its rows are the
-values those forms give pair by pair.
+deviations on random strip pairs a block at a time: the closed forms
+take points whose coordinates are the columns of a block of rows
+(``embed_q`` and ``QuotPoint.from_vector`` build them from an (m, 4)
+array), so the block runs the same operations as the scalar calls and
+its values are theirs pair by pair.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverDiverged
-# d_B_closed stays bound here: perfbench/spans.py wraps quotient.d_B_closed
-from .stabmodel import REGION_HIGH, REGION_LOW, KroneckerPoint, d_B_closed, region_rows, sup_abs
+from .stabmodel import (REGION_HIGH, REGION_LOW, KroneckerPoint, KroneckerRows, d_B_closed,
+                        region_rows, sup_abs)
 
 
 def dprime(x, y) -> float:
-    """Sup distance on R^4."""
+    """Sup distance on R^4; given the four coordinate columns of two blocks
+    of rows (x.T, y.T), the distance of each pair of rows."""
     return sup_abs(a - b for a, b in zip(x, y))
 
 
@@ -67,14 +70,28 @@ class QuotPoint:
             raise ValueError("canonical representative needs rep[0] = rep[1] = 0")
 
     @classmethod
-    def from_vector(cls, x) -> "QuotPoint":
-        x1, x2, x3, x4 = (float(v) for v in x)
-        return cls((0.0, 0.0, x3 - x1, x4 - x2))
+    def from_vector(cls, x):
+        """The orbit of x; the orbits of the rows of an (m, 4) numpy array
+        as QuotRows."""
+        rows = isinstance(x, np.ndarray) and x.ndim == 2
+        x1, x2, x3, x4 = x.T if rows else (float(v) for v in x)
+        rep = (0.0, 0.0, x3 - x1, x4 - x2)
+        return QuotRows(rep) if rows else cls(rep)
+
+
+@dataclass(frozen=True, eq=False)
+class QuotRows:
+    """Orbits of the rows of a block, by their canonical representatives
+    with the last two coordinates as columns, which quot_dist_closed reads
+    elementwise as it reads QuotPoint.rep."""
+
+    rep: tuple
 
 
 def quot_dist_closed(xbar: QuotPoint, ybar: QuotPoint) -> float:
     """Closed-form quotient distance between orbits; the canonical
-    representatives have d1 = d2 = 0."""
+    representatives have d1 = d2 = 0.  Between two QuotRows, the distance
+    of each pair of rows."""
     d3 = ybar.rep[2] - xbar.rep[2]
     d4 = ybar.rep[3] - xbar.rep[3]
     return sup_abs((d3, d4)) / 2.0
@@ -272,11 +289,14 @@ def quot_dist_inf(dist, sigma, tau, act) -> float:
     return float(_pattern_search(objective, np.array([dist(sigma, tau) + 1.0]))[0])
 
 
-def embed_q(x) -> KroneckerPoint:
+def embed_q(x):
     """Isometric embedding of the strip into the Kronecker model: the
     coordinates are kept, and the point constructor rejects a vector
     outside the strip.  The R^4 action by lambda corresponds to the
-    stability action by Re(lambda) + i Im(lambda)/pi."""
+    stability action by Re(lambda) + i Im(lambda)/pi.  The rows of an
+    (m, 4) numpy array embed at once, as KroneckerRows."""
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        return KroneckerRows(x)
     return KroneckerPoint(x)
 
 
@@ -287,6 +307,7 @@ def kron_quot_closed(p: KroneckerPoint, q: KroneckerPoint) -> float:
     The translate of q is formed as ``c_act`` forms it and measured as
     ``d_B_closed`` measures it, on plain coordinates: far from q its
     width x3 - x1 may round to 0, and a ``KroneckerPoint`` would reject it.
+    Between two KroneckerRows, the distance of each pair of rows.
     """
     d = [a - b for a, b in zip(p.x, q.x)]
     re = 0.5 * (d[0] + d[2])
@@ -308,12 +329,11 @@ def isometry_samples(n: int, seed: int = 0) -> np.ndarray:
 
     The pairs are stabmodel.random_region_vector's, two per pair, drawn
     as the rows of one ``rng.uniform`` block for up to _DRAW_PAIRS pairs
-    (the same doubles as the scalar draws) and checked against the strip
-    a block at a time, as ``embed_q`` checks them (OutsideRegion).  Each
-    block is measured with the array forms of ``d_B_closed`` against
-    ``dprime`` and of ``quot_dist_closed`` against ``kron_quot_closed``:
-    the same operations on the same operands, so every value is the one
-    the scalar forms give for that pair.
+    (the same doubles as the scalar draws).  Each block is embedded by
+    ``embed_q`` (OutsideRegion names a row outside the strip) and
+    measured by ``d_B_closed`` against ``dprime`` and by
+    ``quot_dist_closed`` against ``kron_quot_closed``, elementwise, so
+    every value is the one those forms give for that pair alone.
     """
     if not 0 <= n <= MAX_SAMPLES:
         raise ValueError(f"sample count must be in 0..{MAX_SAMPLES}, got {n!r}")
@@ -323,23 +343,12 @@ def isometry_samples(n: int, seed: int = 0) -> np.ndarray:
         rows = region_rows(rng.uniform(REGION_LOW, REGION_HIGH,
                                        (2 * min(_DRAW_PAIRS, n - start), 4)))
         x, y = rows[0::2], rows[1::2]
-        d = x - y
-        metric = _sup_rows(d)  # d_B_closed(embed_q(x), embed_q(y))
-        plain = _sup_rows(d)  # dprime(x, y)
-        # quot_dist_closed on the canonical representatives (0, 0, x3 - x1, x4 - x2)
-        quot = _sup_rows((y[:, 2:] - y[:, :2]) - (x[:, 2:] - x[:, :2])) / 2.0
-        # kron_quot_closed: the translate of y by the averaged parameter, measured from x
-        re = 0.5 * (d[:, 0] + d[:, 2])
-        im = math.pi * ((d[:, 1] + d[:, 3]) / (2.0 * math.pi))
-        kron = _sup_rows((y + np.column_stack((re, im, re, im))) - x)
-        out[start:start + len(x)] = np.column_stack((np.abs(metric - plain),
-                                                     np.abs(quot - kron)))
+        px, py = embed_q(x), embed_q(y)
+        out[start:start + len(x), 0] = np.abs(d_B_closed(px, py) - dprime(x.T, y.T))
+        out[start:start + len(x), 1] = np.abs(
+            quot_dist_closed(QuotPoint.from_vector(x), QuotPoint.from_vector(y))
+            - kron_quot_closed(px, py))
     return out
-
-
-def _sup_rows(d: np.ndarray) -> np.ndarray:
-    """sup_abs of each row, NaN kept."""
-    return np.abs(d).max(axis=1)
 
 
 def isometry_report(n: int, seed: int = 0) -> IsometryReport:

@@ -21,6 +21,7 @@ phases go up with Re(lambda).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,6 +96,21 @@ class KroneckerPoint:
         if not isinstance(x, (list, tuple)):
             raise ValueError('a Kronecker point object needs "x": a list of four numbers')
         return cls(tuple(real_number(v, "x") for v in x), _integer(data.get("l", 3), "l"))
+
+
+class KroneckerRows:
+    """Points of the strip as the rows of an (m, 4) array, held as its four
+    coordinate columns x, which the closed forms (d_B_closed and the
+    quotient's) read as they read KroneckerPoint.x, elementwise.  Each
+    row is checked as KroneckerPoint checks its point: OutsideRegion
+    names the first row with x3 - x1 not in (0, 1)."""
+
+    def __init__(self, rows):
+        self.x = tuple(np.asarray(rows, dtype=float).T)
+        gap = self.x[2] - self.x[0]
+        outside = ~((gap > 0.0) & (gap < 1.0))
+        if outside.any():
+            raise OutsideRegion(f"x3 - x1 = {float(gap[outside.argmax()])!r} is not in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -174,15 +190,21 @@ def hn_profile(p: KroneckerPoint, c: ObjectClass) -> HNProfile:
     return HNProfile(tuple(factors), mass, factors[0].phase, factors[-1].phase)
 
 
-def sup_abs(values) -> float:
+def sup_abs(values):
     """max |v| over the values, and NaN when one of them is NaN: Python's
-    max keeps a NaN only in first place, so every sup-metric takes this."""
+    max keeps a NaN only in first place, so every sup-metric takes this.
+    Values that are numpy arrays give the same sup elementwise, an array
+    (np.maximum keeps NaN), so each closed form built on this also
+    measures coordinate columns row by row."""
     mags = [abs(v) for v in values]
+    if mags and isinstance(mags[0], np.ndarray):
+        return functools.reduce(np.maximum, mags)
     return math.nan if any(map(math.isnan, mags)) else max(mags)
 
 
 def d_B_closed(p: KroneckerPoint, q: KroneckerPoint) -> float:
-    """Bridgeland distance between two points of the strip: max_j |x_j - y_j|."""
+    """Bridgeland distance between two points of the strip: max_j |x_j - y_j|;
+    between two KroneckerRows, the distance of each pair of rows."""
     return sup_abs(a - b for a, b in zip(p.x, q.x))
 
 
@@ -239,14 +261,12 @@ def support_constant(p: KroneckerPoint) -> float:
 
 def c_orbit_distance(lam, lam2):
     """Induced metric on any translation orbit: max{|Re|, pi |Im|} of the
-    parameter difference.  Given a numpy array, it is the same operations
-    elementwise (an array, NaN kept); given scalars, a float."""
-    if isinstance(lam, np.ndarray) or isinstance(lam2, np.ndarray):
-        with np.errstate(over="ignore", invalid="ignore"):  # as complex arithmetic
-            z = np.subtract(lam, lam2, dtype=complex)
-            return np.maximum(np.abs(z.real), np.abs(math.pi * z.imag))
-    z = complex(lam) - complex(lam2)
-    return sup_abs((z.real, math.pi * z.imag))
+    parameter difference: a float, or for numpy arrays of parameters the
+    same operations elementwise, an array with NaN kept."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python float arithmetic
+        z = np.subtract(lam, lam2, dtype=complex)
+        d = sup_abs((z.real, math.pi * z.imag))
+    return d if isinstance(d, np.ndarray) else float(d)
 
 
 def random_region_point(rng) -> KroneckerPoint:
@@ -269,17 +289,7 @@ def random_region_vector(rng) -> tuple[float, float, float, float]:
 
 def region_rows(draws: np.ndarray) -> np.ndarray:
     """The vectors (x1, x2, x1 + gap, x4) of random_region_vector from the
-    first four columns (x1, gap, x2, x4) of a draw block."""
+    first four columns (x1, gap, x2, x4) of a draw block, as rows."""
     x = draws[:, [0, 2, 0, 3]]
     x[:, 2] += draws[:, 1]
-    return strip_rows(x)
-
-
-def strip_rows(x: np.ndarray) -> np.ndarray:
-    """The (m, 4) coordinate rows x, each checked as KroneckerPoint checks
-    its point: OutsideRegion names the first row with x3 - x1 not in (0, 1)."""
-    gap = x[:, 2] - x[:, 0]
-    outside = ~((gap > 0.0) & (gap < 1.0))
-    if outside.any():
-        raise OutsideRegion(f"x3 - x1 = {float(gap[outside.argmax()])!r} is not in (0, 1)")
     return x

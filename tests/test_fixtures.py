@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stabmetric import dynamics, metriclab, quotient
+from stabmetric import dynamics, metriclab, quotient, stabmodel
 from stabmetric.fixtures import FIXTURES, RELATIONS, build_fixture
 
 NUMERIC = ("<=", ">=", "<", ">")
@@ -87,6 +87,27 @@ class TestQuotientClosedForm:
         assert result.details["failed_checks"] == ["max_solver_deviation <= 1e-12",
                                                    "max_minimizer_deviation <= 1e-12"]
         assert 1e-12 < result.details["max_solver_deviation"] < 1.001e-12
+
+
+class TestEmbeddingIsometry:
+    """The fixture's certificates measure the library's own maps."""
+
+    @pytest.mark.parametrize("attr, check", [
+        ("d_B_closed", "max_metric_deviation <= 1e-12"),
+        ("kron_quot_closed", "max_quotient_deviation <= 1e-12"),
+    ])
+    def test_changed_closed_form_fails_by_name(self, monkeypatch, attr, check):
+        form = getattr(quotient, attr)
+        monkeypatch.setattr(quotient, attr, lambda p, q: form(p, q) * 1.5)
+        result = build_fixture("kronecker-embedding-isometry", 0)
+        assert result.details["failed_checks"] == [check]
+
+    def test_c_act_without_its_pi_fails_the_intertwining(self, monkeypatch):
+        act = stabmodel.c_act
+        monkeypatch.setattr(stabmodel, "c_act",
+                            lambda p, lam: act(p, complex(lam.real, lam.imag / math.pi)))
+        result = build_fixture("kronecker-embedding-isometry", 0)
+        assert result.details["failed_checks"] == ["max_intertwining_deviation <= 1e-12"]
 
 
 class TestNanFails:

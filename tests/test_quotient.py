@@ -25,6 +25,8 @@ from stabmetric.quotient import (
     r4_act,
 )
 from stabmetric.stabmodel import (
+    REGION_HIGH,
+    REGION_LOW,
     KroneckerPoint,
     ObjectClass,
     c_act,
@@ -32,6 +34,7 @@ from stabmetric.stabmodel import (
     d_B_closed,
     random_region_point,
     random_region_vector,
+    region_rows,
 )
 
 
@@ -487,3 +490,61 @@ class TestBlockedDraws:
         monkeypatch.setattr(quotient, "REGION_HIGH", (2.0, 3.0, 1.5, 1.5))
         with pytest.raises(OutsideRegion, match=r"^x3 - x1 = .* is not in \(0, 1\)$"):
             isometry_samples(100, 0)
+
+
+class TestRowForms:
+    """The closed forms on a block of rows give each pair's scalar value,
+    and isometry_samples measures with the module's own forms."""
+
+    @staticmethod
+    def _blocks(seed, m=50):
+        rng = np.random.default_rng(seed)
+        draws = rng.uniform(REGION_LOW, REGION_HIGH, (2 * m, 4))
+        rows = region_rows(draws)
+        return rows[0::2], rows[1::2]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_form_matches_its_scalar_calls(self, seed):
+        x, y = self._blocks(seed)
+        pairs = list(zip(x.tolist(), y.tolist()))
+        forms = {
+            "dprime": (dprime(x.T, y.T), [dprime(a, b) for a, b in pairs]),
+            "d_B_closed": (d_B_closed(embed_q(x), embed_q(y)),
+                           [d_B_closed(embed_q(a), embed_q(b)) for a, b in pairs]),
+            "quot_dist_closed": (
+                quot_dist_closed(QuotPoint.from_vector(x), QuotPoint.from_vector(y)),
+                [quot_dist_closed(QuotPoint.from_vector(a), QuotPoint.from_vector(b))
+                 for a, b in pairs]),
+            "kron_quot_closed": (kron_quot_closed(embed_q(x), embed_q(y)),
+                                 [kron_quot_closed(embed_q(a), embed_q(b)) for a, b in pairs]),
+        }
+        for name, (block, scalar) in forms.items():
+            assert [v.hex() for v in block.tolist()] == [v.hex() for v in scalar], name
+
+    def test_nan_row_keeps_nan(self):
+        x, y = self._blocks(2, 3)
+        x[1, 3] = math.nan
+        out = kron_quot_closed(embed_q(x), embed_q(y))
+        assert [math.isnan(v) for v in out.tolist()] == [False, True, False]
+        assert math.isnan(quot_dist_closed(QuotPoint.from_vector(x),
+                                           QuotPoint.from_vector(y))[1])
+
+    def test_embedding_a_row_outside_names_it_as_the_point_does(self):
+        x, _ = self._blocks(3, 4)
+        x[2, 2] = x[2, 0] + 1.0
+        with pytest.raises(OutsideRegion) as rows_error:
+            embed_q(x)
+        with pytest.raises(OutsideRegion) as point_error:
+            embed_q(tuple(x[2]))
+        assert str(rows_error.value) == str(point_error.value)
+
+    @pytest.mark.parametrize("name, column", [("d_B_closed", 0), ("dprime", 0),
+                                              ("quot_dist_closed", 1),
+                                              ("kron_quot_closed", 1)])
+    def test_samples_see_a_changed_form(self, monkeypatch, name, column):
+        # a form that is 1e-9 off shows in its deviation column, and only there
+        form = getattr(quotient, name)
+        monkeypatch.setattr(quotient, name, lambda a, b: form(a, b) + 1e-9)
+        samples = isometry_samples(30, seed=4)
+        assert (samples[:, column] > 1e-12).all()
+        assert (samples[:, 1 - column] <= 1e-12).all()

@@ -14,6 +14,7 @@ from stabmetric.stabmodel import (
     REGION_HIGH,
     REGION_LOW,
     KroneckerPoint,
+    KroneckerRows,
     ObjectClass,
     c_act,
     c_orbit_distance,
@@ -24,7 +25,6 @@ from stabmetric.stabmodel import (
     random_region_point,
     random_region_vector,
     region_rows,
-    strip_rows,
     sup_abs,
     support_constant,
 )
@@ -320,6 +320,25 @@ class TestSupAbs:
             assert math.isnan(d_B_sampled(p, p, 3))
 
 
+    def test_arrays_match_scalar_calls_bit_for_bit(self):
+        # NaN, infinities and -0.0 in every place of three columns
+        parts = [0.0, -0.0, 1.5, -2.25, math.inf, -math.inf, math.nan]
+        rows = [(a, b, c) for a in parts for b in parts for c in parts]
+        out = sup_abs(np.array(rows).T)
+        assert isinstance(out, np.ndarray) and out.shape == (len(rows),)
+        assert [v.hex() for v in out.tolist()] == [
+            float(sup_abs(row)).hex() for row in rows]
+
+    def test_d_B_closed_on_rows_is_each_pairs_distance(self):
+        rng = np.random.default_rng(5)
+        x = region_rows(rng.uniform(REGION_LOW, REGION_HIGH, (40, 4)))
+        y = region_rows(rng.uniform(REGION_LOW, REGION_HIGH, (40, 4)))
+        out = d_B_closed(KroneckerRows(x), KroneckerRows(y))
+        assert [v.hex() for v in out.tolist()] == [
+            d_B_closed(KroneckerPoint(a), KroneckerPoint(b)).hex()
+            for a, b in zip(x.tolist(), y.tolist())]
+
+
 class TestOrbitDistance:
     def test_real_translation(self):
         assert c_orbit_distance(0, 1) == 1.0
@@ -399,10 +418,10 @@ class TestRegionRows:
         with pytest.raises(OutsideRegion) as point_error:
             KroneckerPoint(tuple(rows[1]))
         with pytest.raises(OutsideRegion) as rows_error:
-            strip_rows(rows)
+            KroneckerRows(rows)
         assert str(rows_error.value) == str(point_error.value)
         inside = rows[:1]
-        assert strip_rows(inside) is inside
+        assert [col.tolist() for col in KroneckerRows(inside).x] == inside.T.tolist()
 
 
 class TestSerialization:
