@@ -366,6 +366,7 @@ def _cmd_embed_check(args) -> int:
 
 
 def _cmd_fixtures(args) -> int:
+    import numpy.random  # noqa: F401  numpy loads it lazily; no fixture's timing pays for it
     from . import fixtures, metriclab
     seed = _seed(args)
     metriclab.sample_params(args.resolution)  # reject a bad resolution before any fixture runs

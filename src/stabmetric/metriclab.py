@@ -17,7 +17,8 @@ floats, the distances between tiles of 64 samples from the handle's
 answer.  Rounding is monotone, so the bounds hold for the computed
 distances themselves, and witnesses, margins and the first index among
 ties are those of the full scans.  The geodesic check there projects its
-samples once and builds each row block with ``pairwise``'s own kernel in
+samples once, drops the projection rows that cannot attain the sup in
+any cell, and builds each row block with ``pairwise``'s own kernel in
 two buffers allocated once per call, so its deviations are the same
 floats.
 
@@ -60,8 +61,9 @@ _CLEARANCE_TOL = 1e-9  # non-unique geodesic: least distance of z from [x, y]
 # 4x the largest benchmarked resolution.  On a 2-core Xeon, cat0_check on the
 # corbit-cat0-violation triangle takes 20-35 ms here (the half scan took 4.0-4.7 s);
 # a triangle whose tiles the bounds cannot rule out, such as a thin one, still takes
-# about 4 s.  geodesic_deviation on a Kronecker pair takes 165-265 ms (560-660 ms with a
-# pairwise call per row block).
+# about 4 s.  geodesic_deviation on a Kronecker pair takes 105-135 ms where one projection
+# row can attain the sup, 160-280 ms where it scans all four (280-440 ms with a pairwise
+# call per row block).
 MAX_RESOLUTION = 8192
 
 
@@ -570,22 +572,59 @@ def geodesic_deviation(space: SpaceHandle, x, y, *, resolution: int = 256) -> fl
         return float(np.max([np.max(np.abs(space.pairwise(pts[rows], pts[rows.start:])
                                            - np.abs(ts[rows, None] - ts[None, rows.start:]) * d_xy))
                              for rows in blocks]))
-    # a linear sup-space: the samples projected once, and each block built by
-    # pairwise's own kernel in two buffers, the second reused for the line term,
-    # with the ufuncs and operand order of the expression above: the same floats
+    # a linear sup-space: the samples projected once, the rows that cannot attain
+    # the sup dropped, and each block built by pairwise's own kernel in two buffers,
+    # the second reused for the line term, with the ufuncs and operand order of the
+    # expression above: the same floats
     a = np.ascontiguousarray((pts @ space.proj).T)
+    keep = _attaining_rows(a, space.weights)
+    a, weights = a[keep], space.weights[keep]
     buf, scratch = np.empty((2, len(ts[blocks[0]]) * len(ts)))
     maxima = []
     for rows in blocks:
         r, c = len(ts[rows]), len(ts) - rows.start
         dmat, line = buf[:r * c].reshape(r, c), scratch[:r * c].reshape(r, c)
-        _sup_into(a[:, rows], a[:, rows.start:], space.weights, dmat, line)
+        _sup_into(a[:, rows], a[:, rows.start:], weights, dmat, line)
         np.subtract(ts[rows, None], ts[None, rows.start:], out=line)
         np.abs(line, out=line)
         line *= d_xy
         np.subtract(dmat, line, out=line)
         maxima.append(np.max(np.abs(line, out=line)))
     return float(np.max(maxima))
+
+
+def _attaining_rows(a: np.ndarray, weights: np.ndarray) -> list:
+    """The rows k of the projected samples a (m, N), in order, whose terms
+    w_k |a[k, i] - a[k, j]| can set max_k of them in some cell: dropping
+    the others leaves every cell's float of ``_sup_into`` as it is.
+
+    A row with the same bits and weight as an earlier row is dropped: its
+    term is the same float in every cell.  Then, for the row k* of largest
+    w_k * sum |s_k|, where s_k are the computed steps a[k, l+1] - a[k, l],
+    if k*'s steps are nonzero and of one sign and w_k* is finite and
+    >= 0, every other row k with w_k == w_k* and |s_k[l]| < |s_k*[l]|
+    at every step l is dropped.  This is exact: rounding is monotone and
+    odd, so each strict float inequality holds for the exact steps, and
+    summing the steps from i to j gives |a[k, j] - a[k, i]| <
+    |a[k*, j] - a[k*, i]| exactly; the rounded differences, and their
+    products with the same weight, are then <= row k*'s, so the maximum
+    is row k*'s float, NaN included.  A NaN or infinite sample makes a NaN
+    or infinite step, which fails the comparisons and keeps its row; a
+    row of another weight is always kept.
+    """
+    firsts = {}
+    for k, row in enumerate(a):
+        firsts.setdefault((weights[k], row.tobytes()), k)
+    keep = list(firsts.values())
+    with np.errstate(all="ignore"):  # the scan warns of what overflows in its cells
+        steps = np.diff(a, axis=1)
+        size = np.abs(steps)
+        lead = int(np.argmax(weights * size.sum(axis=1)))  # the first of equal rows
+    w, s = weights[lead], steps[lead]
+    if not (0.0 <= w < math.inf and (np.all(s > 0.0) or np.all(s < 0.0))):
+        return keep
+    below = (size < size[lead]).all(axis=1) & (weights == w)
+    return [k for k in keep if not below[k]]
 
 
 def _sup_into(a: np.ndarray, b: np.ndarray, weights, out: np.ndarray,

@@ -458,6 +458,26 @@ class TestFixtureTimings:
         assert [line.split(": ")[0] for line in lines] == [f for f in FIXTURES if "corbit" in f]
         assert all(re.fullmatch(r"[a-z0-9-]+: \d+\.\d ms", line) for line in lines)
 
+    def test_numpy_random_loads_before_the_first_timer(self):
+        # numpy imports numpy.random on first use; the first fixture that
+        # draws must not be charged for the import
+        probe = "\n".join([
+            "import sys",
+            "from stabmetric import cli, fixtures",
+            "build = fixtures.build_fixture",
+            "loaded = []",
+            "def spy(*args):",
+            "    loaded.append('numpy.random' in sys.modules)",
+            "    return build(*args)",
+            "fixtures.build_fixture = spy",
+            "assert 'numpy.random' not in sys.modules",
+            "assert cli.main(['fixtures', '--timings', '--resolution', '8', '--format', 'csv']) == 0",
+            "print(loaded[0], len(loaded))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith(f"True {len(FIXTURES)}\n")
+
 
 class TestRegionBoundary:
     def test_cat0_vertex_outside_strip(self, capsys):

@@ -625,15 +625,154 @@ def _deviations(space, vertices, resolution):
             for s in (space, unprojected)]
 
 
-class TestProjectedDeviation:
-    """On a linear sup-space geodesic_deviation projects the samples once
-    and accumulates each row block in two reused buffers; its deviations
-    are those of the ``pairwise`` blocks, NaN included, bit for bit."""
+@st.composite
+def _near_tie_pair(draw):
+    """Endpoints whose coordinates move by nearly one step: the same step,
+    its negative, the step a few ulp off, no step, or a copy of
+    coordinate 0, so that projection rows tie or almost tie."""
+    x = list(draw(st.tuples(*[_COORD] * 4)))
+    step = draw(st.one_of(_COORD, st.floats(1e-8, 1e8), st.floats(-1e8, -1e-8)))
+    y = []
+    for k in range(4):
+        kind = draw(st.sampled_from(("same", "negated", "ulps", "flat", "copy")))
+        if kind == "copy":
+            x[k] = x[0]
+            y.append(y[0] if k else x[0] + step)
+            continue
+        ulps = draw(st.integers(-4, 4))
+        move = {"same": step, "negated": -step, "ulps": step * (1.0 + ulps * 2.0 ** -52),
+                "flat": 0.0}[kind]
+        y.append(x[k] + move)
+    return tuple(x), tuple(y)
+
+
+@st.composite
+def _tied_rows(draw):
+    """Rows of samples whose steps tie or nearly tie: an increasing row and
+    copies of it, maybe negated, shifted by an offset and then by a few
+    ulp at each sample."""
+    n = draw(st.integers(2, 8))
+    base = np.sort(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    rows = [base]
+    for _ in range(draw(st.integers(1, 3))):
+        ulps = np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+        row = base + draw(st.sampled_from((0.0, 0.5, -1.25)))
+        rows.append(draw(st.sampled_from((1.0, -1.0))) * (row + ulps * np.spacing(row)))
+    return np.array(rows)
+
+
+def _sup_cells(a, weights, rows):
+    """``_sup_into`` of the rows of a against themselves."""
+    out = np.empty((a.shape[1],) * 2)
+    return metriclab._sup_into(a[rows], a[rows], weights[rows], out, np.empty_like(out))
+
+
+def _projected_rows(space, x, y, resolution):
+    """The projected samples (m, N) of the segment from x to y, and the
+    rows of them that ``geodesic_deviation`` scans."""
+    pts = space.path(*space.coords(x, y), metriclab.sample_params(resolution))
+    a = np.ascontiguousarray((pts @ space.proj).T)
+    return a, metriclab._attaining_rows(a, space.weights)
+
+
+def _strip_image(z):
+    """perfbench's isometric image of a c-orbit point in the Kronecker strip."""
+    return KroneckerPoint((z.real, math.pi * z.imag, z.real + 0.5, math.pi * z.imag))
+
+
+class TestAttainingRows:
+    """geodesic_deviation scans only the projection rows that can set the
+    maximum in some cell: equal rows once, and no row whose every step is
+    below the leading row's."""
+
+    def test_one_dominant_coordinate_keeps_one_row(self):
+        # rows 0 and 2, and 1 and 3, are equal; row 1 moves half as fast as row 0
+        _, keep = _projected_rows(r4_space(), (0, 0, 0, 0), (1, 0.5, 1, 0.5), 8192)
+        assert keep == [0]
+
+    def test_equal_rows_collapse(self):
+        row = [0.0, 1.0, 0.5, 2.0]  # steps of both signs: no row dominates
+        a = np.array([row, row, [0.0, 0.3, 0.1, 0.2], row])
+        assert metriclab._attaining_rows(a, np.ones(4)) == [0, 2]
+        assert metriclab._attaining_rows(a, np.array([1.0, 2.0, 1.0, 1.0])) == [0, 1, 2]
+
+    def test_equal_slopes_at_other_offsets_keep_both_rows(self):
+        # the re rows have one slope and offsets 0.5 apart; the im rows collapse
+        x, y = _strip_image(0.3 - 0.1j), _strip_image(-1.8 + 0.2j)
+        _, keep = _projected_rows(kronecker_space(), x, y, 2048)
+        assert keep == [0, 2]
+
+    def test_corbit_keeps_both_rows(self):
+        _, keep = _projected_rows(c_orbit_space(), 0j, 5 + 0.1j, 512)
+        assert keep == [0, 1]
+
+    def test_steps_that_tie_in_floats_keep_their_rows(self):
+        # row 1's steps round to row 0's, but its whole span rounds higher
+        a = np.array([[-0.17512090900347888, 0.18017658012037363, 0.6944308506299652],
+                      [-0.17512090900347885, 0.18017658012037369, 0.6944308506299653]])
+        assert np.array_equal(np.diff(a[0]), np.diff(a[1]))
+        assert a[1, 2] - a[1, 0] > a[0, 2] - a[0, 0]
+        assert metriclab._attaining_rows(a, np.ones(2)) == [0, 1]
+
+    def test_infinite_weight_keeps_every_row(self):
+        # row 1 times an infinite weight is NaN where its ends meet, row 0 inf
+        a = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, 0.0]])
+        assert metriclab._attaining_rows(a, np.ones(2)) == [0]
+        assert metriclab._attaining_rows(a, np.full(2, math.inf)) == [0, 1]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nan_or_inf_row_keeps_every_row(self, bad):
+        a = np.array([[0.0, 1.0, 2.0], [0.0, 0.5, 1.0], [0.0, bad, 2.0]])
+        assert metriclab._attaining_rows(a, np.ones(3)) == [0, 1, 2]
+        a[2] = bad
+        assert metriclab._attaining_rows(a, np.ones(3)) == [0, 1, 2]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 40),
+           st.one_of(st.tuples(*[st.tuples(*[_WIDE_COORD] * 4)] * 2), _near_tie_pair()))
+    def test_kept_rows_give_every_cell(self, index, resolution, vertices):
+        space = _linear_handles()[index][0]
+        a, keep = _projected_rows(space, *(_wide_point(space, v) for v in vertices), resolution)
+        assert np.array_equal(_sup_cells(a, space.weights, keep),
+                              _sup_cells(a, space.weights, list(range(len(a)))), equal_nan=True)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_tied_rows(), st.sampled_from((1.0, math.pi)))
+    def test_kept_rows_give_every_cell_of_tied_rows(self, a, weight):
+        weights = np.full(len(a), weight)
+        keep = metriclab._attaining_rows(a, weights)
+        assert np.array_equal(_sup_cells(a, weights, keep),
+                              _sup_cells(a, weights, list(range(len(a)))))
+
+    def test_bench_kronecker_pair_scans_one_row(self, monkeypatch):
+        # the im rows lead; the re rows move slower at every step
+        x, y = _strip_image(0.3 - 0.7j), _strip_image(-1.1 + 0.4j)
+        space = kronecker_space()
+        scanned = []
+        sup_into = metriclab._sup_into
+
+        def spy(a, b, weights, out, scratch):
+            scanned.append(len(weights))
+            return sup_into(a, b, weights, out, scratch)
+
+        monkeypatch.setattr(metriclab, "_sup_into", spy)
+        deviation = geodesic_deviation(space, x, y, resolution=2048)
+        assert scanned and set(scanned) == {1}
+        monkeypatch.undo()
+        assert deviation == full_geodesic_deviation(space, x, y, 2048)
+
+
+class TestProjectedDeviation:
+    """On a linear sup-space geodesic_deviation projects the samples once,
+    keeps the rows that can attain the maximum, and accumulates each row
+    block in two reused buffers; its deviations are those of the
+    ``pairwise`` blocks, NaN included, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=250, deadline=None)
     @given(st.integers(0, 4), st.integers(1, 300),
-           st.tuples(*[st.tuples(*[_WIDE_COORD] * 4)] * 2),
+           st.one_of(st.tuples(*[st.tuples(*[_WIDE_COORD] * 4)] * 2), _near_tie_pair()),
            st.sampled_from((1, 7 * 123, metriclab._BLOCK_CELLS)))
     def test_projected_blocks_equal_pairwise_blocks(self, index, resolution, vertices, cells):
         space = _linear_handles()[index][0]
@@ -644,6 +783,12 @@ class TestProjectedDeviation:
     def test_kronecker_at_2048(self):
         vertices = ((0.3, -1.2, 0.9, 0.4), (-1.1, 0.8, -0.6, 1.3))
         projected, unprojected = _deviations(kronecker_space(), vertices, 2048)
+        assert projected == unprojected
+        assert float(projected) <= 1e-12
+
+    def test_r4_at_8192(self):
+        # duplicated rows and one dominant row: one row is scanned
+        projected, unprojected = _deviations(r4_space(), ((0, 0, 0, 0), (1, 0.5, 1, 0.5)), 8192)
         assert projected == unprojected
         assert float(projected) <= 1e-12
 
