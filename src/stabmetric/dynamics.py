@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from operator import add, sub, truediv
 from typing import Optional
 
@@ -153,6 +153,18 @@ def mass_growth_estimate(m: Mat2, seed: MassSeed, n: int) -> list[float]:
     map chains: the same math calls on the same operands as one loop
     over iterates and vectors, in whose order a step norm of zero or
     beyond the doubles (|z| itself included) raises.
+
+    A vector's recurrence stops once the renormalized state
+    (x, y) -> M(x, y) / |M(x, y)| returns to itself or to its negative,
+    and every later step norm is then the last one, s, exactly.  The map
+    is deterministic, and round-to-nearest is odd, so the negated state
+    gives negated products, sums and quotients under the same hypot.
+    States compare as floats, so a zero component may come back with the
+    other sign; that sign only reaches results that are themselves zero,
+    and hypot ignores it.  A NaN compares unequal, and the failure checks
+    run first, so the failures come in the same order.  With one vector
+    the log-sum-exp is hi + log(fsum([exp(0.0)])) = hi + 0.0, which is hi
+    (a sum of logs is never -0.0), so a_k is the log scale over k.
     """
     if not 1 <= n <= MAX_ITERATES:
         raise ValueError(f"n must be in 1..{MAX_ITERATES}, got {n!r}")
@@ -166,13 +178,17 @@ def mass_growth_estimate(m: Mat2, seed: MassSeed, n: int) -> list[float]:
         if s < inf:
             append = norms.append
             x, y = x / s, y / s
-            for _ in range(bad[0] - 1):
-                x, y = a * x + b * y, c * x + d * y  # Mat2.apply's expressions, bit for bit
-                s = hypot(x, y)
+            for left in range(bad[0] - 2, -1, -1):
+                u, v = a * x + b * y, c * x + d * y  # Mat2.apply's expressions, bit for bit
+                s = hypot(u, v)
                 append(s)
                 if not 0.0 < s < inf:
                     break
-                x, y = x / s, y / s
+                u, v = u / s, v / s
+                if u == x and v == y or u == -x and v == -y:  # a fixed point, up to sign
+                    norms += repeat(s, left)
+                    break
+                x, y = u, v
         k = len(norms) - 1
         if not 0.0 < s < inf and k < bad[0]:
             bad = (k, i, s)
@@ -183,7 +199,9 @@ def mass_growth_estimate(m: Mat2, seed: MassSeed, n: int) -> list[float]:
         raise ValueError(f"seed vector {list(seed.vectors[i])} {what} at iterate {k}")
     log = math.log
     scales = [list(islice(accumulate(map(log, norms)), 1, None)) for norms in runs]
-    his = list(map(max, zip(*scales)))
+    if len(scales) == 1:  # the log-sum-exp of one scale is that scale, bit for bit
+        return list(map(truediv, scales[0], range(1, n + 1)))
+    his = list(map(max, *scales))
     terms = zip(*[map(math.exp, map(sub, scale, his)) for scale in scales])
     return list(map(truediv, map(add, his, map(log, map(math.fsum, terms))), range(1, n + 1)))
 
@@ -227,10 +245,27 @@ def _as_upper(z) -> complex:
 
 def poincare_distance(z, w) -> float:
     """Distance of the metric (dx^2 + dy^2) / (4 y^2): half the classical
-    curvature -1 hyperbolic distance."""
+    curvature -1 hyperbolic distance.
+
+    Where gap^2 / (2 y1 y2) leaves the doubles (gap = |z - w|, y1 and y2
+    the imaginary parts), the same distance is asinh(u) with
+    u = gap / (2 sqrt(y1) sqrt(y2)), which never squares, and
+    log gap - (log y1 + log y2) / 2 where u itself overflows.  Dividing
+    gap by the smaller root first, no step of u underflows there, and a
+    step overflows only where u exceeds 1e153, far above where the log
+    form is exact to rounding."""
     z = _as_upper(z)
     w = _as_upper(w)
-    return _half_plane_distance(abs(z - w), z.imag, w.imag, math.acosh)
+    try:
+        d = _half_plane_distance(abs(z - w), z.imag, w.imag, math.acosh)
+    except (OverflowError, ZeroDivisionError):  # gap ** 2 overflows, or 2 y1 y2 underflows
+        d = math.inf
+    if d < math.inf:
+        return d
+    gap, y1, y2 = abs(z - w), z.imag, w.imag
+    r1, r2 = sorted((math.sqrt(y1), math.sqrt(y2)))
+    u = gap / r1 / (2.0 * r2)
+    return math.asinh(u) if u < math.inf else math.log(gap) - 0.5 * (math.log(y1) + math.log(y2))
 
 
 def _half_plane_distance(gap, y1, y2, acosh):

@@ -65,6 +65,8 @@ _CLEARANCE_TOL = 1e-9  # non-unique geodesic: least distance of z from [x, y]
 # row can attain the sup, 160-280 ms where it scans all four (280-440 ms with a pairwise
 # call per row block).
 MAX_RESOLUTION = 8192
+# comparison_triangle squares its sides in place only up to here: (2**500)**2 is far from overflow
+_HUGE_SIDE = 2.0 ** 500
 
 
 def straight_path(a: np.ndarray, b: np.ndarray, ts: np.ndarray) -> np.ndarray:
@@ -157,10 +159,23 @@ def comparison_triangle(a: float, b: float, c: float):
         return (0.0, 0.0), (0.0, 0.0), (c, 0.0)
     if a > b + c + slack or b > c + a + slack or c > a + b + slack:
         raise BadSideLengths(f"sides ({a}, {b}, {c}) violate a triangle inequality")
+    if max(a, b, c) > _HUGE_SIDE:
+        # the squares would overflow: solve in units of 2**e, e the exponent of
+        # the longest side, which scale exactly; a base below the subnormals in
+        # those units is a zero base
+        e = math.frexp(max(a, b, c))[1]
+        sa, sb, sc = (math.ldexp(v, -e) for v in (a, b, c))
+        t, h = _apex(sa, sb, sc) if sa > 0.0 else (sc, 0.0)
+        return (0.0, 0.0), (a, 0.0), (math.ldexp(t, e), math.ldexp(h, e))
+    return (0.0, 0.0), (a, 0.0), _apex(a, b, c)
+
+
+def _apex(a: float, b: float, c: float) -> tuple[float, float]:
+    """The corner z = (t, h) of comparison_triangle for checked sides with
+    a > 0 and finite squares."""
     t = (a * a + c * c - b * b) / (2.0 * a)
     h2 = c * c - t * t
-    h = math.sqrt(h2) if h2 > 0.0 else 0.0
-    return (0.0, 0.0), (a, 0.0), (t, h)
+    return t, (math.sqrt(h2) if h2 > 0.0 else 0.0)
 
 
 def sample_params(resolution: int) -> np.ndarray:

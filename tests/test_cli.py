@@ -642,6 +642,31 @@ class TestInputBoundary:
                            + " differ by a non-finite amount in coordinate 1"}
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    # finite points whose distances are finite but whose squares are not:
+    # a finite report, without a warning
+    @pytest.mark.parametrize("argv", [
+        ("dist", "--model", "poincare", "[0,1e-320]", "[0,1e300]"),
+        ("dist", "--model", "poincare", "[0,1]", "[1e200,1]"),
+        ("dist", "--model", "poincare", "[0,1e-10]", "[1e150,1e-10]"),
+        ("dist", "--model", "poincare", "[0,1e-320]", "[1,1e-320]"),
+        ("cat0-check", "--model", "r4", "--resolution", "8",
+         "--vertices", "[[0,0,0,0],[1e200,0,0,0],[0,1e200,0,0]]"),
+        ("cat0-check", "--model", "corbit", "--resolution", "8",
+         "--vertices", "[[0,0],[1e200,0],[0,1e200]]"),
+        ("cat0-check", "--model", "kronecker", "--resolution", "8",
+         "--vertices", "[[0,0,0.5,0],[0,1e200,0.5,0],[0,0,0.5,1e200]]"),
+    ], ids=["poincare-1e300", "poincare-1e200", "poincare-1e150", "poincare-1e-320",
+            "cat0-r4", "cat0-corbit", "cat0-kronecker"])
+    def test_squares_beyond_the_doubles(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        value = report["certificate"]["margin"] if argv[0] == "cat0-check" else report["distance"]
+        assert math.isfinite(value) and value > 0.0
+        assert not caught
+
     # a quotient point whose own representative overflows is named with
     # its coordinate, even when the points agree
     @pytest.mark.parametrize("argv, message", [

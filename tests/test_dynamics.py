@@ -2,6 +2,9 @@
 
 import math
 import re
+from decimal import Decimal, localcontext
+from itertools import accumulate, islice
+from operator import add, sub, truediv
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from stabmetric.errors import (
 from stabmetric import dynamics
 from stabmetric.dynamics import (
     HUGE_TRACE,
+    MAX_ITERATES,
     PA_TABLE,
     Autoeq,
     MassSeed,
@@ -208,6 +212,25 @@ class TestStretchAndTranslation:
         assert poincare_translation_length(Autoeq(0, -1, 1, 0)) == 0.0
 
 
+def decimal_half_plane_distance(z, w) -> float:
+    """0.5 acosh(1 + |z - w|^2 / (2 y1 y2)) in decimal arithmetic, with 50
+    digits of the argument's excess over 1 and no exponent limit."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 50, 10 ** 6, -10 ** 6
+        dx, dy = Decimal(z.real) - Decimal(w.real), Decimal(z.imag) - Decimal(w.imag)
+        q = (dx * dx + dy * dy) / (2 * Decimal(z.imag) * Decimal(w.imag))
+        if not q:
+            return 0.0
+        ctx.prec += max(0, -q.adjusted())
+        x = 1 + q
+        return float((x + (x * x - 1).sqrt()).ln() / 2)
+
+
+# coordinates of either sign from the subnormals to 1e308
+_SCALED = st.builds(lambda s, m, e: s * m * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+                    st.floats(1.0, 9.99), st.integers(-320, 307))
+
+
 class TestHalfPlane:
     def test_distance_examples(self):
         assert poincare_distance(1j, 1j) == 0.0
@@ -226,6 +249,36 @@ class TestHalfPlane:
             poincare_distance(1j, -1j)
         with pytest.raises(ValueError):
             poincare_distance(1 - 2j, 1j)
+
+    # gap^2 overflows, gap^2 / (2 y1 y2) overflows, 2 y1 y2 underflows
+    @pytest.mark.parametrize("z, w, expected", [
+        (1e-320j, 1e300j, 713.8013843945938),
+        (1j, 1e200 + 1j, 460.51701859880916),
+        (1e300j, 1e200 + 1e300j, 4.9999999999999995e-101),
+        (1e-10j, 1e150 + 1e-10j, 368.4136148790473),
+        (1e-320j, 1 + 1e-320j, 736.8272408909739),
+        (1e-200j, 1e-200j, 0.0),
+        (1 + 9e307j, 1e155 + 9e307j, 5.555555555555555e-154),  # 2 sqrt(y1) sqrt(y2) overflows
+        (1e-320j, 1e-320 + 1e-320j, 0.48121182505960347),  # sqrt(y1) sqrt(y2) is subnormal
+    ])
+    def test_far_points_finite(self, z, w, expected):
+        assert decimal_half_plane_distance(z, w) == expected
+        assert poincare_distance(z, w) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(_SCALED, _SCALED.filter(lambda v: v > 0.0)),
+           st.tuples(_SCALED, _SCALED.filter(lambda v: v > 0.0)))
+    def test_distance_at_every_scale(self, z, w):
+        z, w = complex(*z), complex(*w)
+        try:
+            plain = dynamics._half_plane_distance(abs(z - w), z.imag, w.imag, math.acosh)
+        except (OverflowError, ZeroDivisionError):
+            plain = math.inf
+        d = poincare_distance(z, w)
+        if plain < math.inf:  # a distance the plain formula gives keeps its bits
+            assert d.hex() == plain.hex()
+        elif abs(z - w) < math.inf:
+            assert d == pytest.approx(decimal_half_plane_distance(z, w), rel=1e-14, abs=0.0)
 
     def test_coordinate_of_identity(self):
         assert h_coordinate(Mat2.identity()) == pytest.approx(1j, abs=1e-15)
@@ -421,6 +474,116 @@ class TestMassGrowthReference:
         seed = MassSeed.of((1.0, 0.0))
         with pytest.raises(ValueError, match="overflows a double at iterate 2"):
             mass_growth_estimate(Mat2(1e308, 1e308, 1e308, 1e308), seed, 2)
+
+
+def full_run_mass_growth(m, seed, n):
+    """Reference for ``mass_growth_estimate``: its body before the
+    recurrence stopped at a fixed point, every vector iterated n times and
+    every log-sum-exp taken through fsum."""
+    if not 1 <= n <= MAX_ITERATES:
+        raise ValueError(f"n must be in 1..{MAX_ITERATES}, got {n!r}")
+    a, b, c, d = m.a, m.b, m.c, m.d
+    hypot, inf = math.hypot, math.inf
+    runs = []
+    bad = (n + 1, 0, 0.0)  # (iterate, vector, step norm) of the first failure
+    for i, (x, y) in enumerate(seed.vectors):
+        s = hypot(x, y)
+        norms = [s]  # |z|, then the step norms
+        if s < inf:
+            append = norms.append
+            x, y = x / s, y / s
+            for _ in range(bad[0] - 1):
+                x, y = a * x + b * y, c * x + d * y  # Mat2.apply's expressions, bit for bit
+                s = hypot(x, y)
+                append(s)
+                if not 0.0 < s < inf:
+                    break
+                x, y = x / s, y / s
+        k = len(norms) - 1
+        if not 0.0 < s < inf and k < bad[0]:
+            bad = (k, i, s)
+        runs.append(norms)
+    k, i, s = bad
+    if k <= n:
+        what = "collapses to zero" if s == 0.0 else "overflows a double"
+        raise ValueError(f"seed vector {list(seed.vectors[i])} {what} at iterate {k}")
+    log = math.log
+    scales = [list(islice(accumulate(map(log, norms)), 1, None)) for norms in runs]
+    his = list(map(max, zip(*scales)))
+    terms = zip(*[map(math.exp, map(sub, scale, his)) for scale in scales])
+    return list(map(truediv, map(add, his, map(log, map(math.fsum, terms))), range(1, n + 1)))
+
+
+def assert_same_as_full_run(m, seed, n):
+    """Bit-identical estimates, or the identical ValueError message."""
+    try:
+        expected = list(map(float.hex, full_run_mass_growth(m, seed, n)))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            mass_growth_estimate(m, seed, n)
+        assert str(raised.value) == str(exc)
+    else:
+        assert list(map(float.hex, mass_growth_estimate(m, seed, n))) == expected
+
+
+_HUGE = st.floats(1e307, 1.7976931348623157e308).flatmap(lambda v: st.sampled_from([v, -v]))
+_MATRICES = st.one_of(
+    st.sampled_from([f for f, _ in PA_TABLE]),  # hyperbolic of either trace sign, parabolic, elliptic
+    st.sampled_from([Mat2.identity(), Mat2(-1.0, 0.0, 0.0, -1.0), Mat2(0.0, 0.0, 0.0, 0.0),
+                     Mat2(1.0, 2.0, 2.0, 4.0), Mat2(0.0, 1.0, 0.0, 0.0), Mat2(1.0, 1.0, 1.0, 1.0)]),
+    st.builds(Mat2, *[st.integers(-6, 6).map(float)] * 4),
+    st.builds(Mat2, *[st.floats(-4.0, 4.0)] * 4),
+    st.builds(Mat2, *[st.one_of(_HUGE, st.floats(-4.0, 4.0))] * 4),
+)
+_ENTRY = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0), _HUGE,
+                   st.sampled_from([1e-300, -5e-324, 1e300]))
+_VECTORS = st.lists(st.tuples(_ENTRY, _ENTRY).filter(lambda v: v != (0.0, 0.0)),
+                    min_size=1, max_size=4)
+
+
+class TestMassGrowthFixedPoint:
+    """Stopping each recurrence at its float fixed point (up to sign) and
+    the one- and two-vector log-sum-exps change no bit and no message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MATRICES, _VECTORS, st.integers(1, 3000))
+    def test_same_as_full_run(self, m, vectors, n):
+        assert_same_as_full_run(m, MassSeed(tuple(vectors)), n)
+
+    @pytest.mark.parametrize("m, vectors", [
+        (FIB, ((0.3, 0.7), (0.5, 0.2), (0.9, 0.4))),
+        (Autoeq(-2, -1, -1, -1), ((0.3, 0.7), (1.0, 0.0))),  # settles with alternating sign
+        (Autoeq(-5, 2, 2, -1), ((1.0, 0.0),)),
+        (Autoeq(1, 1, 0, 1), ((0.3, 0.7), (0.0, -1.0))),  # parabolic: (1, 0) is fixed
+        (Autoeq(0, -1, 1, 1), ((0.3, 0.7), (1.0, 0.0))),  # elliptic: never settles
+        (Mat2(-1.0, 0.0, 0.0, -1.0), ((0.0, 1.0), (-0.0, 2.0))),  # zero signs flip
+        (Mat2(0.0, 0.0, 0.0, 0.0), ((1.0, 0.0),)),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 2000])
+    def test_named_cases(self, m, vectors, n):
+        assert_same_as_full_run(m, MassSeed(vectors), n)
+
+    def test_max_iterates(self):
+        assert_same_as_full_run(Autoeq(-2, -1, -1, -1),
+                                MassSeed.of((0.3, 0.7), (0.5, 0.2), (1.0, 0.0)), MAX_ITERATES)
+
+    def test_out_of_range_n(self):
+        for n in (0, MAX_ITERATES + 1):
+            assert_same_as_full_run(FIB, MassSeed.of((1.0, 0.0)), n)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_iteration_stops(self, monkeypatch, sign):
+        calls = []
+        hypot = math.hypot
+
+        def counting_hypot(x, y):
+            calls.append(1)
+            return hypot(x, y)
+
+        monkeypatch.setattr(math, "hypot", counting_hypot)
+        seed = MassSeed.of((1.0, 0.0), (0.3, 0.7), (0.5, 0.2))
+        mass_growth_estimate(Mat2(2.0 * sign, sign, sign, sign), seed, 2000)
+        assert 0 < len(calls) < 100 * len(seed.vectors)
 
 
 class TestMassGrowth:

@@ -84,6 +84,12 @@ CASES: dict[str, list[str]] = {
     "readme-geodesic-check": ["geodesic-check", "--model", "corbit", "[0,0]", "[1,0.5]"],
     "readme-pa": ["pa", "--matrix", "[[2,1],[1,1]]"],
     "readme-mass-growth": ["mass-growth", "-n", "200", "--format", "csv"],
+    # the mass iteration with three seed vectors, and with a negative trace,
+    # whose renormalized state settles with alternating sign
+    "mass-growth-three-vectors": ["mass-growth", "-n", "2000", "--seed-vectors",
+                                  "[[0.3,0.7],[0.5,0.2],[0.9,0.4]]"],
+    "mass-growth-negative-trace": ["mass-growth", "--matrix", "[[-2,-1],[-1,-1]]",
+                                   "-n", "2000", "--seed-vectors", "[[0.3,0.7],[1,0]]"],
     "readme-embed-check": ["embed-check", "-n", "100"],
     "readme-sweep": ["sweep", "--kind", "slim-grid", "--deltas", "1,2,4,8"],
     # the quotient solver's descent: a value it leaves above the closed

@@ -80,6 +80,77 @@ class TestComparisonTriangle:
             assert abs(y - z) == pytest.approx(b, abs=1e-9)
             assert abs(z - x) == pytest.approx(c, abs=1e-9)
 
+    # a triangle from three points, or with one side stretched past the
+    # triangle inequality or shrunk to zero, scaled by a power of two so that
+    # its longest side is in [1, 2) and its slack is 1e-12 times that side
+    @staticmethod
+    def unit_sides(draw):
+        x, y, z = (complex(draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+                   for _ in range(3))
+        sides = [abs(x - y), abs(y - z), abs(z - x)]
+        k = draw(st.integers(0, 2))
+        sides[k] *= draw(st.sampled_from([1.0, 1.0, 1.0, 0.0, 1.5, 2.0]))
+        e = math.frexp(max(sides))[1]
+        return [math.ldexp(v, 1 - e) for v in sides]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(-300, 499))
+    def test_formula_below_huge_sides(self, data, exponent):
+        # every triangle below 2**500 keeps the plain formula's bits and errors
+        sides = [math.ldexp(v, exponent) for v in self.unit_sides(data.draw)]
+        a, b, c = sides
+        try:
+            got = comparison_triangle(a, b, c)
+        except (BadSideLengths, DegenerateBase) as exc:
+            assert exc.args[0]  # raised in the checks, before any corner is built
+            return
+        if a > 0.0:
+            t = (a * a + c * c - b * b) / (2.0 * a)
+            h2 = c * c - t * t
+            assert got == ((0.0, 0.0), (a, 0.0), (t, math.sqrt(h2) if h2 > 0.0 else 0.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(501, 1020))
+    def test_huge_sides_scale_exactly(self, data, exponent):
+        # above 2**500 the corner is 2**exponent times the unit triangle's
+        unit = self.unit_sides(data.draw)
+        sides = [math.ldexp(v, exponent) for v in unit]
+        if max(sides) <= 2.0 ** 500:
+            return
+        try:
+            small = comparison_triangle(*unit)
+        except (BadSideLengths, DegenerateBase):
+            with pytest.raises((BadSideLengths, DegenerateBase)):
+                comparison_triangle(*sides)
+            return
+        x, y, z = comparison_triangle(*sides)
+        assert (x, y) == ((0.0, 0.0), (sides[0], 0.0))
+        assert z == tuple(math.ldexp(v, exponent) for v in small[2])
+        assert all(map(math.isfinite, z))
+
+    def test_huge_sides_keep_the_slack_in_their_units(self):
+        big = 2.0 ** 600
+        slack = 1e-12 * 2 * big
+        assert comparison_triangle(big, big, 2 * big + 0.5 * slack)[2][1] == 0.0
+        with pytest.raises(BadSideLengths):
+            comparison_triangle(big, big, 2 * big + 2 * slack)
+        with pytest.raises(DegenerateBase):
+            comparison_triangle(0.0, big, big + 2 * 1e-12 * big)
+
+    def test_base_below_the_subnormals_of_its_units(self):
+        # 1e-300 / 2**665 is zero: the corner lies on the line, at the third side
+        assert comparison_triangle(1e-300, 1e200, 1e200) == ((0.0, 0.0), (1e-300, 0.0),
+                                                             (1e200, 0.0))
+
+    @pytest.mark.parametrize("sides", [(1e200, 1e200, 1e200), (1e308, 1e308, 1e308),
+                                       (1.5e308, 1.7e308, 1.6e308)])
+    def test_huge_sides_reproduced(self, sides):
+        a, b, c = sides
+        x, y, z = (complex(*p) for p in comparison_triangle(a, b, c))
+        assert abs(x - y) == a
+        assert abs(0.5 * y - 0.5 * z) == pytest.approx(0.5 * b, rel=1e-14)
+        assert abs(z - x) == pytest.approx(c, rel=1e-14)
+
 
 class TestCat0Check:
     def test_euclidean_plane_passes(self):
