@@ -10,7 +10,8 @@ is built once per process, on the first call, and every later call of
 `main` parses with that same parser.  `MODELS` holds each point model
 once, and every `--model` list but `quotient-dist`'s comes from it;
 `_points` parses every command's points and rejects a non-finite
-coordinate difference before any array work.  JSON reports are written
+coordinate difference before any array work, `_space` a weighted
+projected one before any scan.  JSON reports are written
 by `_json_text`, which gives the bytes of `json.dumps(..., indent=2,
 sort_keys=True)` without its per-value generator steps.
 """
@@ -22,13 +23,14 @@ import collections
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from . import dynamics
 from .errors import StabmetricError
@@ -36,6 +38,11 @@ from .lin2 import Mat2, real_number
 
 ENV_SEED = "STABMETRIC_SEED"
 ORACLE_CLASS_CAP = 10  # multiplicity cap of the sampled-supremum oracle in `dist`
+PAIR_NAMES = ("first point", "second point")
+VERTEX_NAMES = ("vertex 1", "vertex 2", "vertex 3")
+# relative room below the largest double in `_space`'s span check: a scan takes each
+# sampled term in a few roundings, each within about 1e-16 of the largest span
+_SPAN_ROOM = 1.0 + 1e-12
 
 
 def _fmt(value: float) -> str:
@@ -128,8 +135,7 @@ def _points(model: str, values, names) -> list:
 
 
 def _pair(args) -> list:
-    names = ("first point", "second point")
-    return _points(args.model, map(_parse_json, (args.p, args.q), names), names)
+    return _points(args.model, map(_parse_json, (args.p, args.q), PAIR_NAMES), PAIR_NAMES)
 
 
 def _arrow_count(points) -> int:
@@ -140,11 +146,25 @@ def _arrow_count(points) -> int:
     return counts[0]
 
 
-def _space(model: str, points):
-    """The model's metriclab handle; witnesses keep the points' arrow count l."""
+def _space(model: str, points, names):
+    """The model's metriclab handle; witnesses keep the points' arrow count l.
+
+    On a linear sup-space, two points (named by ``names``) whose term
+    w_k |L_k(v_i - v_j)| is within _SPAN_ROOM of overflow are rejected: a
+    checker samples convex combinations of these differences."""
     from . import metriclab
     factory = getattr(metriclab, MODELS[model].space)
-    return factory(_arrow_count(points)) if hasattr(points[0], "l") else factory()
+    space = factory(_arrow_count(points)) if hasattr(points[0], "l") else factory()
+    if space.proj is not None:  # in plain floats, which overflow to inf without a warning
+        rows, weights = space.proj.T.tolist(), space.weights.tolist()
+        named = zip(names, map(space.encode, points))
+        for (first, a), (second, b) in itertools.combinations(named, 2):
+            d = [v - u for u, v in zip(a, b)]
+            for k, (row, w) in enumerate(zip(rows, weights), 1):
+                if not abs(sum(map(mul, row, d))) * w * _SPAN_ROOM < math.inf:
+                    raise ValueError(f"{first} and {second} are too far apart in "
+                                     f"projection row {k}: a scan of it would overflow")
+    return space
 
 
 def _json_text(value, pad: str = "\n") -> str:
@@ -228,7 +248,7 @@ def _seed(args) -> int:
 def _cmd_dist(args) -> int:
     p, q = _pair(args)
     d = (dynamics.poincare_distance(p, q) if MODELS[args.model].space is None
-         else _space(args.model, (p, q)).dist(p, q))
+         else _space(args.model, (p, q), PAIR_NAMES).dist(p, q))
     payload = {"model": args.model, "distance": d}
     if args.model == "kronecker":
         from . import stabmodel
@@ -243,7 +263,7 @@ def _cmd_quotient_dist(args) -> int:
     from . import quotient
     x, y = _pair(args)
     if args.model == "r4":
-        for point, name in zip((x, y), ("first point", "second point")):
+        for point, name in zip((x, y), PAIR_NAMES):
             _finite_rep(point, name)
         closed = quotient.quot_dist_closed(
             quotient.QuotPoint.from_vector(x), quotient.QuotPoint.from_vector(y)
@@ -287,13 +307,13 @@ def _triangle(args):
     data = _parse_json(args.vertices, "vertices")
     if not isinstance(data, list) or len(data) != 3:
         raise ValueError("vertices must be a JSON list of three points")
-    return _points(args.model, data, ("vertex 1", "vertex 2", "vertex 3"))
+    return _points(args.model, data, VERTEX_NAMES)
 
 
 def _cmd_cat0(args) -> int:
     from . import metriclab
     x, y, z = _triangle(args)
-    space = _space(args.model, (x, y, z))
+    space = _space(args.model, (x, y, z), VERTEX_NAMES)
     cert = metriclab.cat0_check(space, x, y, z, resolution=args.resolution,
                                 tol=args.tol, seed=_seed(args))
     if cert is None:
@@ -306,7 +326,7 @@ def _cmd_cat0(args) -> int:
 def _cmd_slim(args) -> int:
     from . import metriclab
     x, y, z = _triangle(args)
-    space = _space(args.model, (x, y, z))
+    space = _space(args.model, (x, y, z), VERTEX_NAMES)
     cert = metriclab.slim_check(space, x, y, z, args.delta,
                                 resolution=args.resolution, seed=_seed(args))
     if cert is None:
@@ -319,7 +339,7 @@ def _cmd_slim(args) -> int:
 def _cmd_geodesic(args) -> int:
     from . import metriclab
     x, y = _pair(args)
-    dev = metriclab.geodesic_deviation(_space(args.model, (x, y)), x, y,
+    dev = metriclab.geodesic_deviation(_space(args.model, (x, y), PAIR_NAMES), x, y,
                                        resolution=args.resolution)
     _emit({"model": args.model, "deviation": dev, "resolution": args.resolution}, args)
     return 0

@@ -253,7 +253,9 @@ def poincare_distance(z, w) -> float:
     log gap - (log y1 + log y2) / 2 where u itself overflows.  Dividing
     gap by the smaller root first, no step of u underflows there, and a
     step overflows only where u exceeds 1e153, far above where the log
-    form is exact to rounding."""
+    form is exact to rounding.  Where gap itself overflows, u and log gap
+    come from the half gap hypot(dx/2, dy/2), finite when dx and dy are;
+    where it is subnormal, from 2**54 gap, which keeps its digits."""
     z = _as_upper(z)
     w = _as_upper(w)
     try:
@@ -262,10 +264,17 @@ def poincare_distance(z, w) -> float:
         d = math.inf
     if d < math.inf:
         return d
-    gap, y1, y2 = abs(z - w), z.imag, w.imag
+    y1, y2, dx, dy = z.imag, w.imag, z.real - w.real, z.imag - w.imag
     r1, r2 = sorted((math.sqrt(y1), math.sqrt(y2)))
-    u = gap / r1 / (2.0 * r2)
-    return math.asinh(u) if u < math.inf else math.log(gap) - 0.5 * (math.log(y1) + math.log(y2))
+    try:  # s |z - w|, with s = 1/2 where |z - w| overflows and 2**54 where it is subnormal
+        gap, s = abs(z - w), 1.0
+    except OverflowError:
+        gap, s = abs(complex(0.5 * dx, 0.5 * dy)), 0.5
+    if gap < 2.0 ** -1022:
+        gap, s = abs(complex(2.0 ** 54 * dx, 2.0 ** 54 * dy)), 2.0 ** 54
+    u = gap / r1 / (2.0 * s * r2)
+    return math.asinh(u) if u < math.inf else (math.log(gap) - math.log(s)
+                                               - 0.5 * (math.log(y1) + math.log(y2)))
 
 
 def _half_plane_distance(gap, y1, y2, acosh):

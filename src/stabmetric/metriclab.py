@@ -707,8 +707,7 @@ def linear_sup_space(name: str, dist: Callable, rows, weights, encode: Callable,
     w = np.broadcast_to(np.asarray(weights, dtype=float), len(rows))
 
     def pairwise(A, B):
-        a = (A @ proj).T
-        b = a if B is A else (B @ proj).T
+        a, b = (A @ proj).T, (B @ proj).T
         out = np.empty((len(A), len(B)))
         return _sup_into(a, b, w, out, np.empty_like(out))
 

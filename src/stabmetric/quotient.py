@@ -13,9 +13,9 @@ equals
 infimum is the linear program min t over (Re lam, Im lam, t) subject to
 +-(d_k - (S lam)_k) <= t, whose optimal vertex it certifies in exact
 integer arithmetic, so each value is the exact optimum rounded once.
-``quot_dist_inf`` minimizes the same infimum through black-box distance
-and action callables, with a coarse grid and a pattern search that moves
-to the best of eight directions or halves its step.
+``quot_dist_inf`` minimizes the same infimum for one pair per call, on
+black-box distance and action callables, by a coarse grid and a pattern
+search over eight directions with halving steps.
 
 The embedding q sends a vector of the strip 0 < x3 - x1 < 1 to the
 Kronecker point with the same coordinates; it intertwines the two
@@ -104,78 +104,23 @@ def quot_minimizer(x, y) -> complex:
 
 
 _DIRECTIONS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
-_DU = np.array([du for du, _ in _DIRECTIONS], dtype=float)
-_DV = np.array([dv for _, dv in _DIRECTIONS], dtype=float)
 _GRID = 33  # coarse-grid points per axis
 _TOL = 1e-9  # how far the descent may end above the coarse-grid minimum
 _MAX_STEPS = 1600  # descent steps: a box 1e308 wide needs about 1070 halvings
 _STEP_FLOOR = 1e-13
-_BLOCK_CELLS = 1 << 16  # grid cells evaluated per array op
 MAX_SAMPLES = 100_000  # isometry_samples' n; embed-check takes seconds here
 _DRAW_PAIRS = 1024  # strip pairs drawn and measured per block
 
 
-def _pattern_search(objective, box: np.ndarray) -> np.ndarray:
-    """Minimize P convex objectives of (u, v) = (Re lam, Im lam) at once.
-
-    ``objective(rows, u, v)`` returns, for the problems ``rows``, the
-    values at the parameters in the ``(len(rows), m)`` arrays u, v.  Each
-    objective is assumed to be a maximum of finitely many absolute affine
-    functions, hence convex: a coarse _GRID x _GRID grid over the box of
-    half-width ``box[p]`` seeds an eight-direction pattern search with
-    halving steps, which cannot be trapped away from the minimum of such
-    objectives.  The grid is evaluated in blocks of about _BLOCK_CELLS
-    cells.  Each descent step evaluates the eight directions of every
-    unfinished problem in one objective call and moves the problem to the
-    first of _DIRECTIONS with the least value if that is below its
-    current value, else halves its step.  A problem ends when its step
-    falls to _STEP_FLOOR, and every problem after _MAX_STEPS steps.
-    """
-    n = box.shape[0]
-    best = objective(np.arange(n), np.zeros((n, 1)), np.zeros((n, 1)))[:, 0]
-    u0 = np.zeros(n)  # the current point of each problem
-    v0 = np.zeros(n)
-    ticks = np.arange(_GRID, dtype=float)
-    per_block = max(1, _BLOCK_CELLS // (_GRID * _GRID))
-    for lo in range(0, n, per_block):
-        rows = np.arange(lo, min(lo + per_block, n))
-        axis = -box[rows, None] + 2.0 * box[rows, None] * ticks / (_GRID - 1)
-        u = np.repeat(axis, _GRID, axis=1)  # cell i * _GRID + j is (axis[i], axis[j])
-        v = np.tile(axis, _GRID)
-        vals = objective(rows, u, v)
-        pos = np.arange(rows.size)
-        cell = vals.argmin(axis=1)  # first minimum in scan order
-        low = vals[pos, cell]
-        better = low < best[rows]
-        u0[rows] = np.where(better, axis[pos, cell // _GRID], 0.0)
-        v0[rows] = np.where(better, axis[pos, cell % _GRID], 0.0)
-        best[rows] = np.where(better, low, best[rows])
-    grid_best = best.copy()
-
-    # the descent of the unfinished problems `live` from their points
-    # (u0, v0) with steps h; an overflowing box gives an infinite step,
-    # which halving never shrinks, so it ends the descent at once
-    live = np.arange(n)
-    h = 2.0 * box / (_GRID - 1)
-    for _ in range(_MAX_STEPS):
-        keep = np.isfinite(h) & (h > _STEP_FLOOR)
-        live, u0, v0, h = live[keep], u0[keep], v0[keep], h[keep]
-        if not live.size:
-            break
-        u = u0[:, None] + h[:, None] * _DU
-        v = v0[:, None] + h[:, None] * _DV
-        vals = objective(live, u, v)
-        pos = np.arange(live.size)
-        k = vals.argmin(axis=1)  # the first best direction
-        low = vals[pos, k]
-        hit = low < best[live]
-        best[live[hit]] = low[hit]
-        u0 = np.where(hit, u[pos, k], u0)
-        v0 = np.where(hit, v[pos, k], v0)
-        h = np.where(hit, h, 0.5 * h)
-    if np.any(best > grid_best + _TOL):
-        raise SolverDiverged("descent ended above the coarse-grid minimum")
-    return best
+def _first_least(vals: list) -> int:
+    """The index np.argmin picks: of the first NaN, else of the first least."""
+    k = 0
+    for i, val in enumerate(vals):
+        if val != val:
+            return i
+        if val < vals[k]:
+            k = i
+    return k
 
 
 def _adj3(m) -> list[list[int]]:
@@ -274,19 +219,44 @@ def quot_dist_lp(sigma, tau, im_scale: float = 1.0) -> np.ndarray:
     return np.array(out)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def quot_dist_inf(dist, sigma, tau, act) -> float:
     """Numerical infimum over the action parameter of dist(sigma, act(tau, lam)).
 
-    A coarse grid and a pattern search over one pair, with the objective
-    evaluated through the two callables one parameter at a time.
+    One problem in plain floats, f(u, v) = dist(sigma, act(tau, u + iv))
+    evaluated one point at a time.  f is assumed to be a maximum of
+    finitely many absolute affine functions, hence convex, so a pattern
+    search with halving steps cannot be trapped away from its minimum.  A
+    _GRID x _GRID grid over the box of half-width dist(sigma, tau) + 1,
+    then each step over _DIRECTIONS, moves to its first point of least
+    value (a NaN is least, and never moves) if that value is below the
+    current one; a step that does not move halves.  The descent ends when
+    the step falls to _STEP_FLOOR or is not finite, or after _MAX_STEPS.
     """
 
-    def objective(rows, u, v):
-        return np.array([[dist(sigma, act(tau, complex(a, b)))
-                          for a, b in zip(u[0].tolist(), v[0].tolist())]])
+    def least(points):
+        vals = [dist(sigma, act(tau, complex(u, v))) for u, v in points]
+        k = _first_least(vals)
+        return vals[k], points[k]
 
-    return float(_pattern_search(objective, np.array([dist(sigma, tau) + 1.0]))[0])
+    box = dist(sigma, tau) + 1.0
+    best, here = least([(0.0, 0.0)])
+    axis = [-box + 2.0 * box * i / (_GRID - 1) for i in range(_GRID)]
+    low, at = least([(u, v) for u in axis for v in axis])
+    best, here = (low, at) if low < best else (best, here)
+    grid_best = best
+    # an overflowing box gives an infinite step, which ends the descent at once
+    h = 2.0 * box / (_GRID - 1)
+    for _ in range(_MAX_STEPS):
+        if not _STEP_FLOOR < h < math.inf:
+            break
+        low, at = least([(here[0] + h * du, here[1] + h * dv) for du, dv in _DIRECTIONS])
+        if low < best:
+            best, here = low, at
+        else:
+            h *= 0.5
+    if best > grid_best + _TOL:
+        raise SolverDiverged("descent ended above the coarse-grid minimum")
+    return float(best)
 
 
 def embed_q(x):

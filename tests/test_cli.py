@@ -649,6 +649,7 @@ class TestInputBoundary:
         ("dist", "--model", "poincare", "[0,1]", "[1e200,1]"),
         ("dist", "--model", "poincare", "[0,1e-10]", "[1e150,1e-10]"),
         ("dist", "--model", "poincare", "[0,1e-320]", "[1,1e-320]"),
+        ("dist", "--model", "poincare", "[0,1]", "[1.5e308,1.5e308]"),
         ("cat0-check", "--model", "r4", "--resolution", "8",
          "--vertices", "[[0,0,0,0],[1e200,0,0,0],[0,1e200,0,0]]"),
         ("cat0-check", "--model", "corbit", "--resolution", "8",
@@ -656,7 +657,7 @@ class TestInputBoundary:
         ("cat0-check", "--model", "kronecker", "--resolution", "8",
          "--vertices", "[[0,0,0.5,0],[0,1e200,0.5,0],[0,0,0.5,1e200]]"),
     ], ids=["poincare-1e300", "poincare-1e200", "poincare-1e150", "poincare-1e-320",
-            "cat0-r4", "cat0-corbit", "cat0-kronecker"])
+            "poincare-gap-overflows", "cat0-r4", "cat0-corbit", "cat0-kronecker"])
     def test_squares_beyond_the_doubles(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -666,6 +667,47 @@ class TestInputBoundary:
         value = report["certificate"]["margin"] if argv[0] == "cat0-check" else report["distance"]
         assert math.isfinite(value) and value > 0.0
         assert not caught
+
+    # finite coordinate differences whose weighted projection w_k |L_k(p - q)|
+    # overflows (pi times Im, x2 - x4): the handle's check names the pair and
+    # the row before any scan; the last pair's term is finite but within the
+    # 1e-12 rounding room below the largest double
+    @pytest.mark.parametrize("argv, pair", [
+        (("geodesic-check", "--model", "corbit", "--resolution", "4", "[0,-5e307]", "[0,5e307]"),
+         "first point and second point"),
+        (("geodesic-check", "--model", "kronecker-quotient",
+          "[0,-5e307,0.5,5e307]", "[0,5e307,0.5,-5e307]"), "first point and second point"),
+        (("dist", "--model", "corbit", "[0,-5e307]", "[0,5e307]"), "first point and second point"),
+        (("slim-check", "--model", "corbit", "--delta", "0.1", "--resolution", "8",
+          "--vertices", "[[0,-5e307],[0,5e307],[1,0]]"), "vertex 1 and vertex 2"),
+        (("cat0-check", "--model", "corbit", "--resolution", "8",
+          "--vertices", "[[1,0],[0,-5e307],[0,5e307]]"), "vertex 2 and vertex 3"),
+        (("geodesic-check", "--model", "corbit", "--resolution", "4",
+          "[0,-2.8611174857567414e307]", "[0,2.8611174857567414e307]"),
+         "first point and second point"),
+    ], ids=["geodesic-corbit", "geodesic-kronecker-quotient", "dist-corbit", "slim-corbit",
+            "cat0-corbit", "in-the-room"])
+    def test_overflowing_weighted_difference_named(self, capsys, argv, pair):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            payload = self.error(capsys, *argv)
+        assert payload == {"error": "ValueError", "message": pair + " are too far apart in "
+                           "projection row 2: a scan of it would overflow"}
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("argv", [
+        ("geodesic-check", "--model", "corbit", "--resolution", "64"),
+        ("dist", "--model", "corbit"),
+    ])
+    def test_weighted_difference_below_the_room(self, capsys, argv):
+        # pi * Im difference is 1e-11 below the largest double, below the room
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, "[0,-2.8611174857284165e307]",
+                                 "[0,2.8611174857284165e307]")
+        assert (code, err, caught) == (0, "", [])
+        report = json.loads(out)
+        assert math.isfinite(report["deviation" if argv[0] == "geodesic-check" else "distance"])
 
     # a quotient point whose own representative overflows is named with
     # its coordinate, even when the points agree

@@ -278,6 +278,13 @@ class TestDescentRule:
         assert looped_quot_dist_inf(dprime, x, y, r4_act) == 1.0
         assert quot_dist_inf(dprime, x, y, r4_act) == pytest.approx(0.5, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from((0.0, -0.0, 1.0, math.inf, -math.inf, math.nan)),
+                              st.floats(allow_nan=True)), min_size=1, max_size=12))
+    def test_first_least_is_argmin(self, vals):
+        # the first NaN, else the first least value, as np.argmin picks
+        assert quotient._first_least(vals) == int(np.argmin(vals))
+
     def test_overflowing_pair_stops_at_once(self):
         calls = 0
 
@@ -320,23 +327,11 @@ def lp_pairs(draw):
     return tuple(t + e for t, e in zip(tau, d)), tau, s
 
 
-def pattern_search_pairs(sigma, tau):
-    """The pattern search over P R^4 pairs at once, on the objectives
-    max_k |d_k - (S lam)_k|; quot_dist_inf poses one problem at a time."""
-    sigma, tau = np.asarray(sigma), np.asarray(tau)
-
-    def objective(rows, u, v):
-        d = sigma[rows] - tau[rows]
-        return np.max([np.abs(d[:, k, None] - w) for k, w in enumerate((u, v, u, v))], axis=0)
-
-    return quotient._pattern_search(objective, np.abs(sigma - tau).max(axis=1) + 1.0)
-
-
 class TestBatchedSolver:
     """quot_dist_lp solves P pairs in one batch, and each value is the
     exact LP optimum: the closed form in Fractions on the same float
-    differences, rounded once.  The pattern search also takes P problems
-    at once, in blocks of grid cells."""
+    differences, rounded once.  The black-box search, one pair per call,
+    is checked against its looped reference and the LP."""
 
     @settings(max_examples=300, deadline=None)
     @given(lp_pairs())
@@ -371,13 +366,6 @@ class TestBatchedSolver:
         assert exact.tolist() == [closed_form_exact(p.x, q.x) for p, q in pairs]
         assert np.max(np.abs(exact - [kron_quot_closed(p, q) for p, q in pairs])) <= 1e-15
 
-    @pytest.mark.parametrize("pairs_per_block", [1, 7])
-    def test_grid_blocks_do_not_change_values(self, monkeypatch, pairs_per_block):
-        sigma, tau = _closed_form_pairs(5)
-        whole = pattern_search_pairs(sigma, tau).tolist()
-        monkeypatch.setattr(quotient, "_BLOCK_CELLS", pairs_per_block * quotient._GRID ** 2)
-        assert pattern_search_pairs(sigma, tau).tolist() == whole
-
     def test_single_pair_matches_its_batch(self):
         sigma, tau = _closed_form_pairs(6)
         batched = quot_dist_lp(sigma, tau).tolist()
@@ -401,12 +389,6 @@ class TestBatchedSolver:
 
 class TestSolverDiverged:
     """With a tolerance of -inf every descent ends "above" its grid minimum."""
-
-    def test_batched_solver_raises(self, monkeypatch):
-        monkeypatch.setattr(quotient, "_TOL", -math.inf)
-        sigma, tau = _closed_form_pairs(0)
-        with pytest.raises(SolverDiverged):
-            pattern_search_pairs(sigma, tau)
 
     def test_black_box_solver_raises(self, monkeypatch):
         monkeypatch.setattr(quotient, "_TOL", -math.inf)
