@@ -167,6 +167,21 @@ def _space(model: str, points, names):
     return space
 
 
+def _scanned_space(model: str, points, names):
+    """``_space``, after also rejecting a point (named by ``names``) whose own
+    |L_k v| is within _SPAN_ROOM of overflow: a checker projects its
+    samples, which are convex combinations of the points."""
+    space = _space(model, points, names)
+    if space.proj is not None:
+        rows = space.proj.T.tolist()
+        for name, v in zip(names, map(space.encode, points)):
+            for k, row in enumerate(rows, 1):
+                if not abs(sum(map(mul, row, v))) * _SPAN_ROOM < math.inf:
+                    raise ValueError(f"{name} lies too far out in projection row {k}: "
+                                     "a scan of it would overflow")
+    return space
+
+
 def _json_text(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True, allow_nan=False)``,
     with every newline followed by ``pad``'s indent as well.
@@ -313,7 +328,7 @@ def _triangle(args):
 def _cmd_cat0(args) -> int:
     from . import metriclab
     x, y, z = _triangle(args)
-    space = _space(args.model, (x, y, z), VERTEX_NAMES)
+    space = _scanned_space(args.model, (x, y, z), VERTEX_NAMES)
     cert = metriclab.cat0_check(space, x, y, z, resolution=args.resolution,
                                 tol=args.tol, seed=_seed(args))
     if cert is None:
@@ -326,7 +341,7 @@ def _cmd_cat0(args) -> int:
 def _cmd_slim(args) -> int:
     from . import metriclab
     x, y, z = _triangle(args)
-    space = _space(args.model, (x, y, z), VERTEX_NAMES)
+    space = _scanned_space(args.model, (x, y, z), VERTEX_NAMES)
     cert = metriclab.slim_check(space, x, y, z, args.delta,
                                 resolution=args.resolution, seed=_seed(args))
     if cert is None:
@@ -339,7 +354,7 @@ def _cmd_slim(args) -> int:
 def _cmd_geodesic(args) -> int:
     from . import metriclab
     x, y = _pair(args)
-    dev = metriclab.geodesic_deviation(_space(args.model, (x, y), PAIR_NAMES), x, y,
+    dev = metriclab.geodesic_deviation(_scanned_space(args.model, (x, y), PAIR_NAMES), x, y,
                                        resolution=args.resolution)
     _emit({"model": args.model, "deviation": dev, "resolution": args.resolution}, args)
     return 0

@@ -4,23 +4,25 @@ A space is handed over as a ``SpaceHandle`` on coordinate arrays.  The
 checkers encode their vertices once into rows of an (N, n) float array,
 sample each side with one ``path`` call, take every distance they
 sample from ``pairwise`` matrices scanned in row blocks (never held
-whole), each symmetric pair once, and decode only the witnesses back
-into model points.  They compare sampled geodesic triangles against
-Euclidean comparison triangles (CAT(0)), test Gromov slimness, and
-certify non-unique geodesics.  A certificate stores the witnesses, the margin, and the
+whole), and decode only the witnesses back into model points.  They
+compare sampled geodesic triangles against Euclidean comparison
+triangles (CAT(0)), test Gromov slimness, and certify non-unique
+geodesics.  A certificate stores the witnesses, the margin, and the
 sampling parameters, so a second implementation can re-derive the
 margin from the same data.
 
-On a linear sup-space the CAT(0) and slimness scans first bound, in
-floats, the distances between tiles of 64 samples from the handle's
-``proj`` and ``weights``, and skip the tiles that cannot hold the
-answer.  Rounding is monotone, so the bounds hold for the computed
-distances themselves, and witnesses, margins and the first index among
-ties are those of the full scans.  The geodesic check there projects its
-samples once, drops the projection rows that cannot attain the sup in
-any cell, and builds each row block with ``pairwise``'s own kernel in
-two buffers allocated once per call, so its deviations are the same
-floats.
+The CAT(0) and slimness scans first bound, in floats, the distances
+between tiles of 64 samples, and skip the tiles that cannot hold the
+answer.  On a linear sup-space the bounds come from the handle's
+``proj`` and ``weights``; elsewhere, or where a sample is not finite,
+a tile's distances lie between 0 and +inf, and no tile is skipped.
+Rounding is monotone, so the bounds hold for the computed distances
+themselves, and witnesses, margins, the first index among ties and the
+first NaN are those of the full scans.  The geodesic check on a linear
+sup-space projects its samples once, drops the projection rows that
+cannot attain the sup in any cell, and builds each row block with
+``pairwise``'s own kernel in two buffers allocated once per call, so
+its deviations are the same floats.
 
 Every bundled space but the Euclidean plane is one linear sup-space:
 coordinates x in R^n, straight lines as geodesics, and the metric
@@ -55,15 +57,15 @@ _SIDE_NAMES = ("xy", "yz", "zx")
 # cells per scanned row block: 512 KiB of floats, above the allocator's mmap threshold, so
 # each fresh block array takes new pages; the geodesic check reuses two such buffers
 _BLOCK_CELLS = 1 << 16
-_TILE = 64  # samples per tile side in the bounded scans of linear sup-spaces
+_TILE = 64  # samples per tile side in the bounded scans
 _ADDITIVITY_TOL = 1e-12  # non-unique geodesic: |d(x,z) + d(z,y) - d(x,y)| bound
 _CLEARANCE_TOL = 1e-9  # non-unique geodesic: least distance of z from [x, y]
 # 4x the largest benchmarked resolution.  On a 2-core Xeon, cat0_check on the
-# corbit-cat0-violation triangle takes 20-35 ms here (the half scan took 4.0-4.7 s);
-# a triangle whose tiles the bounds cannot rule out, such as a thin one, still takes
-# about 4 s.  geodesic_deviation on a Kronecker pair takes 105-135 ms where one projection
-# row can attain the sup, 160-280 ms where it scans all four (280-440 ms with a pairwise
-# call per row block).
+# corbit-cat0-violation triangle takes 20-35 ms here (scanning every upper-triangle
+# cell took 4.0-4.7 s); a triangle whose tiles the bounds cannot rule out, such as a
+# thin one, still takes about 4 s.  geodesic_deviation on a Kronecker pair takes
+# 105-135 ms where one projection row can attain the sup, 160-280 ms where it scans
+# all four (280-440 ms with a pairwise call per row block).
 MAX_RESOLUTION = 8192
 # comparison_triangle squares its sides in place only up to here: (2**500)**2 is far from overflow
 _HUGE_SIDE = 2.0 ** 500
@@ -252,34 +254,7 @@ def cat0_check(space: SpaceHandle, x, y, z, *, resolution: int = 512,
 def _cat0_scan(space: SpaceHandle, pts: np.ndarray, carr: np.ndarray) -> tuple:
     """The first maximum in row-major order of d(p_i, p_j) - |c_i - c_j| over
     the sampled points p and their comparison points c, as (margin, i, j,
-    space distance, comparison distance): from the tiles that can still
-    hold it on a linear sup-space, from the upper block triangle otherwise."""
-    a = _projected(space, pts, carr)
-    found = None if a is None else _tiled_cat0_scan(space, pts, carr, a)
-    return _half_cat0_scan(space, pts, carr) if found is None else found
-
-
-def _half_cat0_scan(space: SpaceHandle, pts: np.ndarray, carr: np.ndarray) -> tuple:
-    """``_cat0_scan`` on any handle.  Both matrices are exactly symmetric,
-    so the first maximum lies in the upper block triangle, and only that
-    triangle is scanned: row block ``rows`` against the columns
-    ``rows.start:``."""
-    best = None
-    for rows in _row_blocks(len(pts), len(pts)):
-        cols = slice(rows.start, None)
-        dmat = space.pairwise(pts[rows], pts[cols])
-        emat = np.abs(carr[rows, None] - carr[None, cols])
-        viol = dmat - emat
-        i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
-        if best is None or viol[i, j] > best[0]:
-            best = (float(viol[i, j]), rows.start + i, rows.start + j,
-                    float(dmat[i, j]), float(emat[i, j]))
-    return best
-
-
-def _tiled_cat0_scan(space: SpaceHandle, pts: np.ndarray, carr: np.ndarray,
-                     a: np.ndarray) -> Optional[tuple]:
-    """``_cat0_scan`` on a linear sup-space with projected samples a.
+    space distance, comparison distance).
 
     Each pair of tiles gets a float bound on its violations: the tile
     bound on d minus a lower bound on the comparison distance, the
@@ -287,12 +262,14 @@ def _tiled_cat0_scan(space: SpaceHandle, pts: np.ndarray, carr: np.ndarray,
     ``abs`` is a hypot to a few ulp.  The tile with the largest bound
     is scanned first, and its largest violation L is one the answer
     reaches: a tile whose bound is a number below L cannot hold the
-    first maximum.  The row blocks of ``_half_cat0_scan`` that meet a
-    kept tile are scanned against the columns of their kept tiles in the
-    upper tile triangle.  On a NaN violation, which the scan order would
-    pick, it returns None."""
+    first maximum.  Both matrices are exactly symmetric, so each row
+    block of ``_row_blocks`` that meets a kept tile is scanned against
+    the columns of its kept tiles in the upper tile triangle.  A NaN
+    violation lies in a tile of NaN or infinite bound, which is never
+    skipped, so the first row block whose maximum is NaN holds the first
+    NaN in row-major order, and returns it."""
     tiles = _Tiles(len(pts), len(pts))
-    bound = tiles.sup_bounds(a, space.weights)[0]
+    bound = tiles.sup_bounds(_projected(space, pts, carr), space.weights)[0]
     cbox = tiles.boxes(np.column_stack((carr.real, carr.imag)))
     e_lo = np.hypot(tiles.spreads(cbox, 0)[1], tiles.spreads(cbox, 1)[1])
     # a few ulp are relatively small for normal numbers; 0 bounds the rest
@@ -309,8 +286,6 @@ def _tiled_cat0_scan(space: SpaceHandle, pts: np.ndarray, carr: np.ndarray,
     first = np.unravel_index(int(np.argmax(np.where(np.isnan(bound), -np.inf, bound))),
                              bound.shape)
     floor = scan(tiles.rows(first[0]), tiles.cols(np.arange(len(tiles.starts)) == first[1]))[0]
-    if math.isnan(floor):
-        return None
     keep = np.triu(~(bound < floor))
     blocks = _row_blocks(len(pts), len(pts))
     live = np.repeat(keep.any(axis=1), tiles.stops - tiles.starts)
@@ -320,7 +295,7 @@ def _tiled_cat0_scan(space: SpaceHandle, pts: np.ndarray, carr: np.ndarray,
         found = scan(rows, tiles.cols(keep[rows.start // _TILE:(rows.stop - 1) // _TILE + 1]
                                       .any(axis=0)))
         if math.isnan(found[0]):
-            return None
+            return found
         if best is None or found[0] > best[0]:
             best = found
     return best
@@ -328,38 +303,8 @@ def _tiled_cat0_scan(space: SpaceHandle, pts: np.ndarray, carr: np.ndarray,
 
 def _slim_scan(space: SpaceHandle, sampled: list) -> list:
     """For each sampled side, the distances of its samples to the samples
-    of the other two sides: on a linear sup-space only where they can
-    reach the largest such distance, -inf elsewhere."""
-    n = len(sampled[0])
-    pts = np.concatenate(sampled)
-    a = _projected(space, pts)
-    mins = None if a is None else _tiled_slim_scan(space, pts, n, a)
-    return _half_slim_scan(space, sampled) if mins is None else mins
-
-
-def _half_slim_scan(space: SpaceHandle, sampled: list) -> list:
-    """``_slim_scan`` on any handle, every distance exact.  The matrix of
-    side k against side k + 1 is scanned once: its row minima are side
-    k's distances to side k + 1, and its column minima side k + 1's
-    distances to side k, since pairwise(B, A) is pairwise(A, B)
-    transposed."""
-    n = len(sampled[0])
-    to_next, to_prev = [], []
-    for k in range(3):
-        row_mins, col_mins = [], np.inf
-        for rows in _row_blocks(n, n):
-            dmat = space.pairwise(sampled[k][rows], sampled[(k + 1) % 3])
-            row_mins.append(dmat.min(axis=1))
-            col_mins = np.minimum(col_mins, dmat.min(axis=0))
-        to_next.append(np.concatenate(row_mins))
-        to_prev.append(col_mins)
-    return [np.minimum(to_next[k], to_prev[k - 1]) for k in range(3)]
-
-
-def _tiled_slim_scan(space: SpaceHandle, pts: np.ndarray, n: int,
-                     a: np.ndarray) -> Optional[list]:
-    """``_slim_scan`` on a linear sup-space, with the n samples of each side
-    one after the other in pts and projected in a.
+    of the other two sides, where they can reach the largest such
+    distance, -inf elsewhere.
 
     Tiles do not straddle sides.  A tile's ``reach``, its least upper
     bound against the tiles of the other sides, bounds the distance of
@@ -368,16 +313,16 @@ def _tiled_slim_scan(space: SpaceHandle, pts: np.ndarray, n: int,
     the answer reaches: a tile whose reach is a number below L is
     skipped, and the others are scanned against just the tiles whose
     lower bound does not exceed their reach, which hold every least
-    distance.  A NaN bound, which only a zero weight times an infinite
-    difference gives, returns None."""
+    distance.  A NaN distance lies in a tile of NaN reach, which is
+    scanned against every tile of the other sides."""
+    n = len(sampled[0])
+    pts = np.concatenate(sampled)
     tiles = _Tiles(len(pts), n)
-    upper, lower = tiles.sup_bounds(a, space.weights)
+    upper, lower = tiles.sup_bounds(_projected(space, pts), space.weights)
     side = tiles.starts // n
     same = side[:, None] == side[None, :]
     upper[same] = np.inf
     reach = upper.min(axis=1)
-    if np.isnan(reach).any():
-        return None
     candidates = ~(lower > reach[:, None]) & ~same
 
     def scan(t):
@@ -395,8 +340,8 @@ def _tiled_slim_scan(space: SpaceHandle, pts: np.ndarray, n: int,
 
 
 def _projected(space: SpaceHandle, pts: np.ndarray, *extra: np.ndarray) -> Optional[np.ndarray]:
-    """The samples ``pts @ space.proj`` that the tiled scans bound, or None
-    where bounds do not hold: a handle without ``proj``, a negative or
+    """The samples ``pts @ space.proj`` that the scans bound, or None where
+    bounds do not hold: a handle without ``proj``, a negative or
     NaN weight, or a sample coordinate (of pts, the projection, or
     ``extra``) that is not finite."""
     if space.proj is None or not np.all(space.weights >= 0.0):
@@ -408,7 +353,7 @@ def _projected(space: SpaceHandle, pts: np.ndarray, *extra: np.ndarray) -> Optio
 class _Tiles:
     """The samples 0..n-1 cut into tiles of _TILE consecutive samples, which
     start afresh every ``period`` samples (n is a multiple of it), and
-    the bounds of the tiled scans on the (tiles, tiles) grid.
+    the bounds of the scans on the (tiles, tiles) grid.
 
     The bounds hold exactly in floats: rounding is monotone, so for x in
     box I and y in box J the computed |x_k - y_k| lies between the
@@ -456,9 +401,13 @@ class _Tiles:
         f = np.subtract.outer(hi[:, k], lo[:, k])
         return np.maximum(f, f.T), np.maximum(-np.minimum(f, f.T), 0.0)
 
-    def sup_bounds(self, a: np.ndarray, weights: np.ndarray) -> tuple:
+    def sup_bounds(self, a: Optional[np.ndarray], weights: np.ndarray) -> tuple:
         """Upper and lower bounds on every ``pairwise`` cell between the
-        tiles I and J of the projected samples a."""
+        tiles I and J of the projected samples a: +inf and 0 where a is
+        None."""
+        if a is None:
+            shape = (len(self.starts),) * 2
+            return np.full(shape, np.inf), np.zeros(shape)
         box = self.boxes(a)
         upper = lower = None
         for k, wk in enumerate(weights):

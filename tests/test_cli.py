@@ -695,6 +695,31 @@ class TestInputBoundary:
                            "projection row 2: a scan of it would overflow"}
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    # a point whose own projection L_k v overflows (x2 - x4 is -2e308), though
+    # the points agree: the checks name the point and the row before any
+    # scan, and `dist` keeps its report
+    _FAR_OUT = "[0,-1e308,0.5,1e308]"
+    _FAR_OUT_TRIANGLE = f"[[1,-1e308,1.5,1e308],{_FAR_OUT},[0.5,-1e308,0.7,1e308]]"
+
+    @pytest.mark.parametrize("argv, point", [
+        (("geodesic-check", "--model", "kronecker-quotient", "--resolution", "4",
+          _FAR_OUT, _FAR_OUT), "first point"),
+        (("cat0-check", "--model", "kronecker-quotient", "--vertices", _FAR_OUT_TRIANGLE),
+         "vertex 1"),
+        (("slim-check", "--model", "kronecker-quotient", "--delta", "0.1", "--vertices",
+          _FAR_OUT_TRIANGLE), "vertex 1"),
+    ], ids=["geodesic", "cat0", "slim"])
+    def test_overflowing_projection_of_a_point_named(self, capsys, argv, point):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            payload = self.error(capsys, *argv)
+            code, out, err = run(capsys, "dist", "--model", "kronecker-quotient",
+                                 self._FAR_OUT, self._FAR_OUT)
+        assert payload == {"error": "ValueError", "message": point + " lies too far out in "
+                           "projection row 2: a scan of it would overflow"}
+        assert (code, err, json.loads(out)["distance"]) == (0, "", 0.0)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("argv", [
         ("geodesic-check", "--model", "corbit", "--resolution", "64"),
         ("dist", "--model", "corbit"),

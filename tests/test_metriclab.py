@@ -483,15 +483,15 @@ _VERTEX = st.tuples(_COORD, _COORD, _COORD, _COORD)
 
 
 class TestScanReferences:
-    """The scans skip the tiles of a linear sup-space that float bounds rule
-    out, and scan each symmetric distance pair of the rest once; the
-    certificates and deviations are those of the full scans, bit for
-    bit.  Tiles of 1 and 3 samples make small resolutions prune."""
+    """The scans skip the tiles that float bounds rule out, and the CAT(0)
+    scan reads each symmetric pair of the rest once; the certificates and
+    deviations are those of the full scans, bit for bit.  Tiles of 1 and
+    3 samples make small resolutions prune."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 5), st.integers(1, 64), st.tuples(_VERTEX, _VERTEX, _VERTEX),
            st.sampled_from((1, 7 * 123, metriclab._BLOCK_CELLS)), st.sampled_from((1, 3, 64)))
-    def test_half_scans_equal_full_scans(self, index, resolution, vertices, cells, tile):
+    def test_scans_equal_full_scans(self, index, resolution, vertices, cells, tile):
         space = _all_handles()[index]
         x, y, z = (_model_point(space, v) for v in vertices)
 
@@ -502,11 +502,11 @@ class TestScanReferences:
 
         with mock.patch.object(metriclab, "_BLOCK_CELLS", cells), \
                 mock.patch.object(metriclab, "_TILE", tile):
-            half = run()
+            scanned = run()
             deviation = _outcome(lambda: geodesic_deviation(space, x, z, resolution=resolution))
         with mock.patch.object(metriclab, "_cat0_scan", full_cat0_scan), \
                 mock.patch.object(metriclab, "_slim_scan", six_matrix_slim_scan):
-            assert half == run()
+            assert scanned == run()
         assert deviation == _outcome(lambda: full_geodesic_deviation(space, x, z, resolution))
 
     @pytest.mark.parametrize("index", range(6))
@@ -535,16 +535,23 @@ class TestTiledScanFallbacks:
 
     @pytest.mark.parametrize("tile", [1, 3])
     def test_euclidean_plane_has_no_projection(self, tile):
+        # no bounds: each row is scanned against every tile from its own on
+        # (after the three arc rows and the first tile), and each sample
+        # against both other sides
         space = euclidean_plane()
         assert space.proj is None and space.weights is None
-        tiled = mock.Mock(side_effect=AssertionError("tiled scan on a handle without proj"))
+        counted, shapes = _counting(space)
         x, y, z = 0j, 1 + 0.25j, 0.5 + 0.75j
+        n = 21
         with mock.patch.object(metriclab, "_TILE", tile), \
-                mock.patch.object(metriclab, "_tiled_cat0_scan", tiled), \
-                mock.patch.object(metriclab, "_tiled_slim_scan", tiled):
-            outcomes = (_outcome(lambda: cat0_check(space, x, y, z, resolution=20, tol=-1.0)),
-                        _outcome(lambda: slim_check(space, x, y, z, 1e-3, resolution=20)))
-        assert outcomes == _full_outcomes(space, x, y, z, 20)
+                mock.patch.object(metriclab, "_BLOCK_CELLS", 1):
+            cat0 = _outcome(lambda: cat0_check(counted, x, y, z, resolution=20, tol=-1.0))
+            assert shapes == ([(1, n)] * 3 + [(tile, tile)]
+                              + [(1, 3 * n - i // tile * tile) for i in range(3 * n)])
+            shapes.clear()
+            slim = _outcome(lambda: slim_check(counted, x, y, z, 1e-3, resolution=20))
+            assert shapes[:3 * n] == [(1, 2 * n)] * (3 * n)
+        assert (cat0, slim) == _full_outcomes(space, x, y, z, 20)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("tile", [1, 3])
@@ -575,9 +582,7 @@ class TestTiledScanFallbacks:
         pts = np.array([[-1e308, 0.0]] * 3 + [[1e308, 0.0]] * 3 + [[0.0, 0.25], [0.5, 0.0]])
         carr = pts[:, 0] + 1j * pts[:, 1]
         with mock.patch.object(metriclab, "_TILE", tile):
-            a = metriclab._projected(space, pts, carr)
-            assert a is not None
-            assert metriclab._tiled_cat0_scan(space, pts, carr, a) is None
+            assert metriclab._projected(space, pts, carr) is not None
             got = metriclab._cat0_scan(space, pts, carr)
         assert math.isnan(got[0])
         assert (json.dumps(metriclab.as_jsonable(got))
@@ -591,12 +596,25 @@ class TestTiledScanFallbacks:
         ts = metriclab.sample_params(16)
         pts = np.concatenate([zero.path(a, b, ts) for a, b in metriclab._sides(zero.coords(x, y, z))])
         with mock.patch.object(metriclab, "_TILE", tile):
-            a = metriclab._projected(zero, pts)
-            assert a is not None
-            assert metriclab._tiled_slim_scan(zero, pts, len(ts), a) is None
+            assert metriclab._projected(zero, pts) is not None
             got = _outcome(lambda: slim_check(zero, x, y, z, 1e-3, resolution=16))
         with mock.patch.object(metriclab, "_slim_scan", six_matrix_slim_scan):
             assert got == _outcome(lambda: slim_check(zero, x, y, z, 1e-3, resolution=16))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("cells", [1, 7 * 123])
+    def test_nan_past_the_first_row_block(self, cells):
+        # x2 - x4 of every sample is near -7e307 and overflows in some
+        # differences: the first NaN in row-major order lies past the first
+        # row block, and the scan must not stop at a finite margin before it
+        space = kronecker_quotient_space()
+        x, y, z = (KroneckerPoint(v) for v in ((1.5, -0.5, 1.55, 5e307), (3.0, 1.25, 3.05, 7e307),
+                                                (0.25, 1.0, 0.3, 7e307)))
+        with mock.patch.object(metriclab, "_BLOCK_CELLS", cells):
+            got = _outcome(lambda: cat0_check(space, x, y, z, resolution=16, tol=-1.0))
+        assert math.isnan(json.loads(got)["margin"])
+        with mock.patch.object(metriclab, "_cat0_scan", full_cat0_scan):
+            assert got == _outcome(lambda: cat0_check(space, x, y, z, resolution=16, tol=-1.0))
 
     def test_negative_weight_is_not_bounded(self):
         space = metriclab.linear_sup_space("negative", None, ((1, 0), (0, 1)), (1.0, -1.0),
@@ -633,12 +651,12 @@ class TestTiledScanCost:
     def test_scans_skip_most_cells(self):
         resolution = 2048
         n = resolution + 1
-        half_cat0 = sum(len(range(3 * n)[rows]) * (3 * n - rows.start)
-                        for rows in metriclab._row_blocks(3 * n, 3 * n))
+        upper_cat0 = sum(len(range(3 * n)[rows]) * (3 * n - rows.start)
+                         for rows in metriclab._row_blocks(3 * n, 3 * n))
         space, shapes = _counting(c_orbit_space())
         cert = cat0_check(space, *_CAT0_TRIANGLE, resolution=resolution)
         assert cert.margin == pytest.approx(1.0, rel=1e-7)
-        assert _cells(shapes) < 0.05 * half_cat0
+        assert _cells(shapes) < 0.05 * upper_cat0
 
         space, shapes = _counting(c_orbit_space())
         cert = slim_check(space, *_SLIM_TRIANGLE, 1.0, resolution=resolution)
