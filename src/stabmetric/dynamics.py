@@ -8,14 +8,16 @@ stretch factor is the spectral radius, and its translation length on
 the quotient of the stability space is the log of the stretch factor
 (log |trace| where the stretch factor exceeds a double).  The quotient
 is isometric to the upper half-plane with the quarter-curvature
-hyperbolic metric (dx^2 + dy^2) / (4 y^2), which provides an
-independent cross-check: the displacement-minimizing point lies on the
-axis through the two real fixed points of the Moebius action and
-realizes arccosh(|trace| / 2).
+hyperbolic metric (dx^2 + dy^2) / (4 y^2), whose distance
+asinh(|z - w| / (2 sqrt(Im z Im w))) is computed to a few ulps, nearby
+points included.  It provides an independent cross-check: the
+displacement-minimizing point lies on the axis through the two real
+fixed points of the Moebius action and realizes arccosh(|trace| / 2).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import asdict, dataclass
 from itertools import accumulate, islice, repeat
@@ -238,6 +240,9 @@ def h_coordinate(m: Mat2) -> complex:
 
 def _as_upper(z) -> complex:
     z = complex(z)
+    if not cmath.isfinite(z):
+        part = "imaginary" if math.isfinite(z.real) else "real"
+        raise ValueError(f"point {z!r} has a non-finite {part} part")
     if not z.imag > 0.0:
         raise ValueError("point must lie in the upper half-plane")
     return z
@@ -245,27 +250,23 @@ def _as_upper(z) -> complex:
 
 def poincare_distance(z, w) -> float:
     """Distance of the metric (dx^2 + dy^2) / (4 y^2): half the classical
-    curvature -1 hyperbolic distance.
+    curvature -1 hyperbolic distance, asinh(u) with
+    u = |z - w| / (2 sqrt(y1) sqrt(y2)) and y1, y2 the imaginary parts.
 
-    Where gap^2 / (2 y1 y2) leaves the doubles (gap = |z - w|, y1 and y2
-    the imaginary parts), the same distance is asinh(u) with
-    u = gap / (2 sqrt(y1) sqrt(y2)), which never squares, and
-    log gap - (log y1 + log y2) / 2 where u itself overflows.  Dividing
-    gap by the smaller root first, no step of u underflows there, and a
-    step overflows only where u exceeds 1e153, far above where the log
-    form is exact to rounding.  Where gap itself overflows, u and log gap
-    come from the half gap hypot(dx/2, dy/2), finite when dx and dy are;
-    where it is subnormal, from 2**54 gap, which keeps its digits."""
+    asinh is well conditioned and u never squares, so nearby points keep
+    their digits (0.5 acosh(1 + 2 u^2), the textbook form, loses them to
+    cancellation in 1 + 2 u^2).  Dividing |z - w| by the smaller root
+    first, a step of u overflows only where u exceeds 1e153, and where u
+    does the distance is log |z - w| - (log y1 + log y2) / 2, exact to
+    rounding far below that.  Where |z - w| overflows, u and the log come
+    from the half gap hypot(dx/2, dy/2), finite when dx and dy are; where
+    it is subnormal, from 2**54 |z - w|, which keeps its digits."""
     z = _as_upper(z)
     w = _as_upper(w)
-    try:
-        d = _half_plane_distance(abs(z - w), z.imag, w.imag, math.acosh)
-    except (OverflowError, ZeroDivisionError):  # gap ** 2 overflows, or 2 y1 y2 underflows
-        d = math.inf
-    if d < math.inf:
-        return d
     y1, y2, dx, dy = z.imag, w.imag, z.real - w.real, z.imag - w.imag
-    r1, r2 = sorted((math.sqrt(y1), math.sqrt(y2)))
+    r1, r2 = math.sqrt(y1), math.sqrt(y2)
+    if r1 > r2:
+        r1, r2 = r2, r1
     try:  # s |z - w|, with s = 1/2 where |z - w| overflows and 2**54 where it is subnormal
         gap, s = abs(z - w), 1.0
     except OverflowError:
@@ -275,12 +276,6 @@ def poincare_distance(z, w) -> float:
     u = gap / r1 / (2.0 * s * r2)
     return math.asinh(u) if u < math.inf else (math.log(gap) - math.log(s)
                                                - 0.5 * (math.log(y1) + math.log(y2)))
-
-
-def _half_plane_distance(gap, y1, y2, acosh):
-    """poincare_distance from |z - w| and the imaginary parts, for floats
-    or arrays, with the matching acosh."""
-    return 0.5 * acosh(1.0 + gap ** 2 / (2.0 * y1 * y2))
 
 
 def mobius_apply(f: Autoeq, z: complex) -> complex:
@@ -309,7 +304,7 @@ def displacement_grid(fs, x, y):
     entries = np.array([[float(v) for v in (f.a, f.b, f.c, f.d)] for f in fs])
     a, b, c, d = entries.T.reshape(4, len(fs), *(1,) * np.ndim(x))
     fx, fy = _mobius_parts(a, b, c, d, x, y)
-    return _half_plane_distance(np.hypot(x - fx, y - fy), y, fy, np.arccosh)
+    return np.arcsinh(np.hypot(x - fx, y - fy) / (2.0 * np.sqrt(y) * np.sqrt(fy)))
 
 
 def poincare_translation_length(f: Autoeq) -> float:

@@ -198,10 +198,15 @@ def test_c10_metric_axioms():
     def rnd_upper():
         return complex(rng.uniform(-3, 3), rng.uniform(0.05, 5.0))
 
+    def rnd_near_upper():  # within 1e-12..1e-3 of 0.5 + 2i, where acosh(1 + tiny) cancels
+        offset = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        return 0.5 + 2j + 10.0 ** rng.uniform(-12, -3) * offset
+
     ok = axioms(stabmodel.c_orbit_distance, rnd_complex)
     ok = ok and axioms(quotient.dprime, rnd_vec4)
     ok = ok and axioms(quotient.quot_dist_closed, rnd_quot)
     ok = ok and axioms(stabmodel.d_B_closed, rnd_kron)
     ok = ok and axioms(quotient.kron_quot_closed, rnd_kron)
     ok = ok and axioms(dynamics.poincare_distance, rnd_upper)
+    ok = ok and axioms(dynamics.poincare_distance, rnd_near_upper)
     _report("criterion 10: metric axioms for every distance (1000 triples each, 1e-12)", ok)

@@ -51,6 +51,11 @@ class TestDist:
         code, out, _ = run(capsys, "dist", "--model", "poincare", "[0,1]", "[0,2]")
         assert json.loads(out)["distance"] == pytest.approx(math.log(2) / 2, abs=1e-12)
 
+    def test_poincare_nearby_points(self, capsys):
+        code, out, err = run(capsys, "dist", "--model", "poincare", "[0,1]", "[1e-9,1]")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["distance"] == 5e-10
+
     @pytest.mark.parametrize("model, p, q, distance", [
         ("euclidean", "[0,0]", "[3,4]", 5.0),
         ("quotient", '{"rep":[0,0,1,1]}', "[1,1,1,1]", 0.5),

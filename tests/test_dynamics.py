@@ -273,15 +273,37 @@ class TestHalfPlane:
            st.tuples(_SCALED, _SCALED.filter(lambda v: v > 0.0)))
     def test_distance_at_every_scale(self, z, w):
         z, w = complex(*z), complex(*w)
-        try:
-            plain = dynamics._half_plane_distance(abs(z - w), z.imag, w.imag, math.acosh)
-        except (OverflowError, ZeroDivisionError):
-            plain = math.inf
         d = poincare_distance(z, w)
-        if plain < math.inf:  # a distance the plain formula gives keeps its bits
-            assert d.hex() == plain.hex()
-        elif math.isfinite(z.real - w.real) and math.isfinite(z.imag - w.imag):
+        if math.isfinite(z.real - w.real) and math.isfinite(z.imag - w.imag):
             assert d == pytest.approx(decimal_half_plane_distance(z, w), rel=1e-14, abs=0.0)
+
+    def test_nearby_points(self):
+        # 0.5 acosh(1 + 2 u^2) gives 0.0 for the first pair, 9.5% too much for the second
+        assert poincare_distance(1j, 1e-9 + 1j) == 5e-10
+        z, w = 2 + 3j, 2.0000001 + 3j
+        assert poincare_distance(z, w) == pytest.approx(
+            decimal_half_plane_distance(z, w), rel=1e-15, abs=0.0)
+
+    # w = z + eps Im z (a + bi): relative gaps from 1e-15 to 1e-1, at every scale of z
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(_SCALED, _SCALED.filter(lambda v: v > 0.0)),
+           st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(-15, -2)),
+           st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    def test_nearby_points_at_every_scale(self, z, eps, a, b):
+        z = complex(*z)
+        w = z + eps * z.imag * complex(a, b)
+        assert poincare_distance(z, w) == pytest.approx(
+            decimal_half_plane_distance(z, w), rel=1e-14, abs=0.0)
+
+    def test_rejects_non_finite_coordinates(self):
+        for z, part in [(complex(0, math.inf), "imaginary"), (complex(math.nan, 1), "real"),
+                        (complex(math.inf, 1), "real"), (complex(1, math.nan), "imaginary")]:
+            with pytest.raises(ValueError, match=f"has a non-finite {part} part"):
+                poincare_distance(1j, z)
+            with pytest.raises(ValueError, match=f"has a non-finite {part} part"):
+                poincare_distance(z, 1j)
+            with pytest.raises(ValueError, match=f"has a non-finite {part} part"):
+                mobius_apply(FIB, z)
 
     def test_coordinate_of_identity(self):
         assert h_coordinate(Mat2.identity()) == pytest.approx(1j, abs=1e-15)
@@ -348,7 +370,7 @@ def per_matrix_grid(f, x, y):
     """Reference for the batched ``displacement_grid``: one matrix's grid,
     with its entries as Python floats."""
     fx, fy = dynamics._mobius_parts(float(f.a), float(f.b), float(f.c), float(f.d), x, y)
-    return dynamics._half_plane_distance(np.hypot(x - fx, y - fy), y, fy, np.arccosh)
+    return np.arcsinh(np.hypot(x - fx, y - fy) / (2.0 * np.sqrt(y) * np.sqrt(fy)))
 
 
 class TestBatchedDisplacementGrid:
