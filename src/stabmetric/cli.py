@@ -36,7 +36,6 @@ from . import dynamics
 from .errors import StabmetricError
 from .lin2 import Mat2, real_number
 
-ENV_SEED = "STABMETRIC_SEED"
 ORACLE_CLASS_CAP = 10  # multiplicity cap of the sampled-supremum oracle in `dist`
 PAIR_NAMES = ("first point", "second point")
 VERTEX_NAMES = ("vertex 1", "vertex 2", "vertex 3")
@@ -250,11 +249,10 @@ def _write(text: str, args) -> None:
 
 
 def _seed(args) -> int:
-    """--seed, else $STABMETRIC_SEED, else 0; numpy takes no negative seed."""
-    seed = args.seed if args.seed is not None else int(os.environ.get(ENV_SEED) or 0)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed!r}")
-    return seed
+    """--seed, which numpy takes only when nonnegative."""
+    if args.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {args.seed!r}")
+    return args.seed
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +327,7 @@ def _cmd_cat0(args) -> int:
     from . import metriclab
     x, y, z = _triangle(args)
     space = _scanned_space(args.model, (x, y, z), VERTEX_NAMES)
-    cert = metriclab.cat0_check(space, x, y, z, resolution=args.resolution,
-                                tol=args.tol, seed=_seed(args))
+    cert = metriclab.cat0_check(space, x, y, z, resolution=args.resolution, tol=args.tol)
     if cert is None:
         _emit({"result": "pass", "model": args.model}, args)
     else:
@@ -342,8 +339,7 @@ def _cmd_slim(args) -> int:
     from . import metriclab
     x, y, z = _triangle(args)
     space = _scanned_space(args.model, (x, y, z), VERTEX_NAMES)
-    cert = metriclab.slim_check(space, x, y, z, args.delta,
-                                resolution=args.resolution, seed=_seed(args))
+    cert = metriclab.slim_check(space, x, y, z, args.delta, resolution=args.resolution)
     if cert is None:
         _emit({"result": "pass", "model": args.model, "delta": args.delta}, args)
     else:
@@ -438,7 +434,7 @@ def _cmd_sweep(args) -> int:
     if args.kind == "slim-grid":
         rows = []
         for delta in (float(v) for v in args.deltas.split(",")):
-            cert = fixtures.fat_triangle(delta, args.resolution, seed)
+            cert = fixtures.fat_triangle(delta, args.resolution)
             if cert is None:
                 raise ValueError(f"slim-grid: no violation for delta {delta!r} "
                                  f"at resolution {args.resolution}")
@@ -458,8 +454,7 @@ def _add_common(sub, *flags: str, resolution: int = 512) -> None:
     """Declare ``--out`` and those of the shared flags --seed, --tol,
     --resolution and --format that the subcommand reads."""
     if "seed" in flags:
-        sub.add_argument("--seed", type=int, default=None,
-                         help=f"RNG seed (falls back to ${ENV_SEED}, then 0)")
+        sub.add_argument("--seed", type=int, default=0, help="seed of the draws (default 0)")
     if "tol" in flags:
         sub.add_argument("--tol", type=float, default=1e-9)
     if "resolution" in flags:
@@ -504,14 +499,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("cat0-check", help="comparison-triangle test")
     p.add_argument("--model", choices=space_models, required=True)
     p.add_argument("--vertices", required=True)
-    _add_common(p, "seed", "tol", "resolution")
+    _add_common(p, "tol", "resolution")
     p.set_defaults(func=_cmd_cat0)
 
     p = subs.add_parser("slim-check", help="thin-triangle test")
     p.add_argument("--model", choices=space_models, required=True)
     p.add_argument("--vertices", required=True)
     p.add_argument("--delta", type=float, required=True)
-    _add_common(p, "seed", "resolution")
+    _add_common(p, "resolution")
     p.set_defaults(func=_cmd_slim)
 
     p = subs.add_parser("geodesic-check", help="geodesic-equation deviation")

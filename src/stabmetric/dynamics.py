@@ -258,19 +258,23 @@ def poincare_distance(z, w) -> float:
     cancellation in 1 + 2 u^2).  Dividing |z - w| by the smaller root
     first, a step of u overflows only where u exceeds 1e153, and where u
     does the distance is log |z - w| - (log y1 + log y2) / 2, exact to
-    rounding far below that.  Where |z - w| overflows, u and the log come
-    from the half gap hypot(dx/2, dy/2), finite when dx and dy are; where
-    it is subnormal, from 2**54 |z - w|, which keeps its digits."""
+    rounding far below that.  Where z - w or |z - w| overflows, u and the
+    log come from s |z - w| on coordinates scaled by s = 1/2, or by 1/4,
+    where it is always finite; where |z - w| is subnormal, from
+    2**54 |z - w|, which keeps its digits."""
     z = _as_upper(z)
     w = _as_upper(w)
     y1, y2, dx, dy = z.imag, w.imag, z.real - w.real, z.imag - w.imag
     r1, r2 = math.sqrt(y1), math.sqrt(y2)
     if r1 > r2:
         r1, r2 = r2, r1
-    try:  # s |z - w|, with s = 1/2 where |z - w| overflows and 2**54 where it is subnormal
-        gap, s = abs(z - w), 1.0
-    except OverflowError:
-        gap, s = abs(complex(0.5 * dx, 0.5 * dy)), 0.5
+    gap, s = math.inf, 2.0
+    while gap == math.inf:  # s |z - w|, from coordinates scaled by s = 1, 1/2, 1/4 in turn
+        s *= 0.5
+        try:
+            gap = abs(complex(s * z.real - s * w.real, s * y1 - s * y2))
+        except OverflowError:
+            pass
     if gap < 2.0 ** -1022:
         gap, s = abs(complex(2.0 ** 54 * dx, 2.0 ** 54 * dy)), 2.0 ** 54
     u = gap / r1 / (2.0 * s * r2)

@@ -96,8 +96,7 @@ def _corbit_nonunique(seed: int, resolution: int):
         r = 0.8 * min(r_prime, 0.25)
         x, y = 0j, complex(r, 0.0)
         z = 0.5 * r * complex(1.0, 1.0 / (2.0 * math.pi))
-        cert = metriclab.nonunique_geodesic_check(space, x, z, y,
-                                                  resolution=resolution, seed=seed)
+        cert = metriclab.nonunique_geodesic_check(space, x, z, y, resolution=resolution)
         certs.append(cert)
         containment = _ball_containment(space, x, ((x, z), (z, y), (x, y)), resolution)
         checks += [*_nonunique_checks(f"{r_prime}: ", cert, r),
@@ -119,13 +118,13 @@ def _ball_containment(space: SpaceHandle, center, segments, resolution: int) -> 
                          for p0, p1 in segments]))
 
 
-def fat_triangle(delta: float, resolution: int, seed: int):
+def fat_triangle(delta: float, resolution: int):
     """slim_check of the paper's triangle (0, 4 delta, 4 delta i / pi) on the
     translation orbit: the certificate of a side escaping the delta-neighborhood
     of the other two, or None."""
     return metriclab.slim_check(metriclab.c_orbit_space(), 0j, complex(4.0 * delta, 0.0),
                                 complex(0.0, 4.0 * delta / math.pi), delta,
-                                resolution=resolution, seed=seed)
+                                resolution=resolution)
 
 
 def _corbit_slim(seed: int, resolution: int):
@@ -133,7 +132,7 @@ def _corbit_slim(seed: int, resolution: int):
     rows = {}
     checks = []
     for delta in (1.0, 2.0, 4.0, 8.0):
-        cert = fat_triangle(delta, resolution, seed)
+        cert = fat_triangle(delta, resolution)
         checks.append((f"{delta}: violation found", cert is not None, "is", True))
         if cert is None:
             continue
@@ -151,7 +150,7 @@ def _corbit_slim(seed: int, resolution: int):
 def _corbit_cat0(seed: int, resolution: int):
     space = metriclab.c_orbit_space()
     x, y, z = 0j, complex(2.0, 0.0), complex(1.0, 1.0 / math.pi)
-    cert = metriclab.cat0_check(space, x, y, z, resolution=resolution, seed=seed)
+    cert = metriclab.cat0_check(space, x, y, z, resolution=resolution)
     if cert is None:
         return {"margin": None}, [("violation found", False, "is", True)], []
     witness = np.array([cert.witness["p"], cert.witness["q"]])
@@ -166,14 +165,12 @@ def _quotient_nonunique(seed: int, resolution: int):
     vectors = [(r, 0.0, 2.0 * r, 0.0), (r, 0.0, 3.0 * r, 0.5 * r), (r, 0.0, 4.0 * r, 0.0)]
     p1, p2, p3 = (quotient.QuotPoint.from_vector(v) for v in vectors)
     qspace = metriclab.quotient_r4_space()
-    cert = metriclab.nonunique_geodesic_check(qspace, p1, p2, p3,
-                                              resolution=resolution, seed=seed)
-    cat = metriclab.cat0_check(qspace, p1, p2, p3, resolution=resolution, seed=seed)
+    cert = metriclab.nonunique_geodesic_check(qspace, p1, p2, p3, resolution=resolution)
+    cat = metriclab.cat0_check(qspace, p1, p2, p3, resolution=resolution)
     # same construction pushed through the embedding into the Kronecker quotient
     kq = metriclab.kronecker_quotient_space()
     k1, k2, k3 = (quotient.embed_q(v) for v in vectors)
-    kcert = metriclab.nonunique_geodesic_check(kq, k1, k2, k3,
-                                               resolution=resolution, seed=seed)
+    kcert = metriclab.nonunique_geodesic_check(kq, k1, k2, k3, resolution=resolution)
     d12, d23, d13 = (quotient.quot_dist_closed(a, b) for a, b in ((p1, p2), (p2, p3), (p1, p3)))
     details = {"d12": d12, "d23": d23, "d13": d13, "margin": cert.margin,
                "kronecker_margin": kcert.margin}
@@ -496,12 +493,13 @@ def build_fixture(fid: str, seed: int = 0, resolution: int = 512) -> FixtureResu
     bound)`` does, the fixture passes when every check holds, and a failed
     one lists its false checks in ``details["failed_checks"]``.  One whose
     checks all hold still fails, by ``FINITE_CHECK`` alone, when its
-    details or certificates hold a NaN or an infinity.
-    Unexpected errors become a failed result rather than aborting the
-    suite."""
+    details or certificates hold a NaN or an infinity.  Its certificates
+    carry the run's seed.  Unexpected errors become a failed result
+    rather than aborting the suite."""
     claim, builder = FIXTURES[fid]
     try:
         details, checks, certificates = builder(seed, resolution)
+        certificates = [replace(cert, seed=seed) for cert in certificates]
         failed = [name for name, value, relation, bound in checks
                   if not RELATIONS[relation](value, bound)]
         if not failed:  # +inf passes ">=", and some values feed no check

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stabmetric import cli, dynamics, metriclab, quotient
-from stabmetric.cli import ENV_SEED, build_parser, main
+from stabmetric.cli import build_parser, main
 from stabmetric.fixtures import FINITE_CHECK, FIXTURES
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -278,6 +278,12 @@ class TestEmbedCheck:
         assert payload["max_metric_deviation"] <= 1e-9
         assert payload["max_quotient_deviation"] <= 1e-9
 
+    def test_environment_holds_no_seed(self, capsys, monkeypatch):
+        # --seed is the only seed input: a seed variable named after the program changes nothing
+        plain = run(capsys, "embed-check", "-n", "5")
+        monkeypatch.setenv(f"{build_parser().prog.upper()}_SEED", "3")
+        assert run(capsys, "embed-check", "-n", "5") == plain
+
 
 class TestFixturesCommand:
     def test_filter_selects_nonunique(self, capsys):
@@ -295,15 +301,6 @@ class TestFixturesCommand:
         _, second, _ = run(capsys, "fixtures", "--filter", "corbit",
                            "--seed", "5", "--resolution", "128")
         assert first == second
-
-    def test_env_seed_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("STABMETRIC_SEED", "5")
-        _, via_env, _ = run(capsys, "fixtures", "--filter", "corbit-distance",
-                            "--resolution", "128")
-        monkeypatch.delenv("STABMETRIC_SEED")
-        _, via_flag, _ = run(capsys, "fixtures", "--filter", "corbit-distance",
-                             "--seed", "5", "--resolution", "128")
-        assert via_env == via_flag
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -888,16 +885,6 @@ class TestInputBoundary:
         assert payload["error"] == "ValueError"
         assert "seed must be nonnegative" in payload["message"]
 
-    def test_negative_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("STABMETRIC_SEED", "-1")
-        payload = self.error(capsys, "embed-check", "-n", "1")
-        assert "seed must be nonnegative" in payload["message"]
-
-    def test_negative_seed_not_certified(self, capsys):
-        payload = self.error(capsys, "cat0-check", "--model", "corbit", "--seed", "-5",
-                             "--resolution", "16", "--vertices", "[[0,0],[2,0],[1,0.3]]")
-        assert "seed must be nonnegative" in payload["message"]
-
     @pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
     def test_cat0_tol_must_be_finite(self, capsys, tol):
         payload = self.error(capsys, "cat0-check", "--model", "corbit", f"--tol={tol}",
@@ -921,6 +908,16 @@ class TestInputBoundary:
     def test_solver_grid_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["quotient-dist", "--grid", "5", "[0.2,0,0.4,0]", "[0.2,0,0.8,0]"])
+        assert exc.value.code == 2
+
+    # the checks sample the fixed grid i / resolution and draw nothing
+    @pytest.mark.parametrize("argv", [
+        ("cat0-check", "--model", "corbit", "--vertices", "[[0,0],[2,0],[1,0.3]]"),
+        ("slim-check", "--model", "corbit", "--delta", "1", "--vertices", "[[0,0],[4,0],[0,1.3]]"),
+    ])
+    def test_checks_take_no_seed(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
@@ -974,14 +971,13 @@ class TestCachedParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_no_parse_state_carries_over(self, capsys, monkeypatch, tmp_path):
+    def test_no_parse_state_carries_over(self, capsys, tmp_path):
         # each call in this process prints what a fresh process prints
-        monkeypatch.delenv(ENV_SEED, raising=False)
         report = tmp_path / "report.json"
         vertices = "[[0,0,0,0],[2,0,2,0],[1,1,1,1]]"
         calls = [
-            ("cat0-check", "--model", "r4", "--resolution", "16", "--vertices", vertices,
-             "--seed", "5"),
+            ("embed-check", "-n", "3", "--seed", "5"),
+            ("embed-check", "-n", "3"),
             ("cat0-check", "--model", "r4", "--resolution", "16", "--vertices", vertices),
             ("fixtures", "--timings", "--out", str(report)),
             ("fixtures",),
@@ -1006,7 +1002,7 @@ class TestCachedParser:
             report.unlink(missing_ok=True)
             seen.append((code, here.out))
         assert seen[0][1] != seen[1][1]  # the report names its seed, 5 then 0
-        assert seen[4] == (2, "")
+        assert seen[5] == (2, "")
 
 
 class TestQuotientImports:

@@ -98,9 +98,9 @@ _COMMANDS = {
             optional={"shift": st.integers(-2, 2)}))),
     ),
     "cat0-check": _cat(_triangle(_SPACE_MODELS), _req("--resolution", _RESOLUTION),
-                       _opt("--seed", _SEED), _opt("--tol", _number(0.0, 1.0))),
+                       _opt("--tol", _number(0.0, 1.0))),
     "slim-check": _cat(_triangle(_SPACE_MODELS), _req("--resolution", _RESOLUTION),
-                       _opt("--seed", _SEED), _req("--delta", _number(0.0, 8.0))),
+                       _req("--delta", _number(0.0, 8.0))),
     "geodesic-check": _cat(_req("--resolution", _RESOLUTION), _pair(_SPACE_MODELS)),
     "pa": _cat(_opt("--matrix", _text(st.sampled_from([[[2, 1], [1, 1]], [[1, 1], [0, 1]],
                                                        [[0, -1], [1, 0]], [[3, 2], [1, 1]]]))),

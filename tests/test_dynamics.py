@@ -262,6 +262,8 @@ class TestHalfPlane:
         (1e-320j, 1e-320 + 1e-320j, 0.48121182505960347),  # sqrt(y1) sqrt(y2) is subnormal
         (1j, 1.5e308 + 1.5e308j, 355.14741046541707),  # |z - w| itself overflows
         (1e-320j, -1.5e308 + 1e308j, 723.6010522647408),  # and so does u
+        (-1e308 + 1j, 1e308 + 1j, 709.889355822726),  # z - w itself overflows
+        (-1.7e308 + 1.7e308j, 1.7e308 + 1e-300j, 701.055901351938),  # and so does the half gap
         (1e-311 + 1e-310j, 2e-311 + 1e-311j, 1.1563172094745326),  # |z - w| is subnormal
     ])
     def test_far_points_finite(self, z, w, expected):
@@ -273,9 +275,8 @@ class TestHalfPlane:
            st.tuples(_SCALED, _SCALED.filter(lambda v: v > 0.0)))
     def test_distance_at_every_scale(self, z, w):
         z, w = complex(*z), complex(*w)
-        d = poincare_distance(z, w)
-        if math.isfinite(z.real - w.real) and math.isfinite(z.imag - w.imag):
-            assert d == pytest.approx(decimal_half_plane_distance(z, w), rel=1e-14, abs=0.0)
+        assert poincare_distance(z, w) == pytest.approx(decimal_half_plane_distance(z, w),
+                                                        rel=1e-14, abs=0.0)
 
     def test_nearby_points(self):
         # 0.5 acosh(1 + 2 u^2) gives 0.0 for the first pair, 9.5% too much for the second

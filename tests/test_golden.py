@@ -18,13 +18,12 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from stabmetric.cli import ENV_SEED, main
+from stabmetric.cli import main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 REL_TOL = 1e-12
@@ -157,8 +156,7 @@ def _diff(golden, actual, path: str = "$") -> list[str]:
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_report_matches_golden(name, monkeypatch):
-    monkeypatch.delenv(ENV_SEED, raising=False)
+def test_report_matches_golden(name):
     code, out = _run(CASES[name])
     assert code == EXIT_CODES.get(name, 0)
     golden = _golden_path(name).read_text(encoding="utf-8")
@@ -170,7 +168,6 @@ def test_every_golden_file_has_a_case():
 
 
 def _write_goldens() -> None:
-    os.environ.pop(ENV_SEED, None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         code, out = _run(argv)

@@ -162,6 +162,17 @@ class TestCat0Check:
                 continue
             assert cat0_check(space, x, y, z, resolution=24) is None
 
+    # the tolerance is relative above unit sides: rounding at 1e8 or 1e200 is no violation
+    @pytest.mark.parametrize("x, y, z", [(0j, 1e8 + 0j, 0.3 + 1e8j), (0j, 1e200 + 0j, 1e200j)])
+    def test_large_euclidean_triangles_pass(self, x, y, z):
+        assert cat0_check(euclidean_plane(), x, y, z, resolution=64) is None
+
+    def test_large_sup_triangle_violates(self):
+        cert = cat0_check(r4_space(), (0.0,) * 4, (1e8, 0.0, 0.0, 0.0), (0.0, 1e8, 0.0, 0.0),
+                          resolution=64)
+        assert cert.margin == pytest.approx(1.34e7, rel=1e-3)
+        assert cert.params["tol"] == 1e-9
+
     def test_orbit_degenerate_comparison_violation(self):
         space = c_orbit_space()
         z = complex(1.0, 1.0 / math.pi)
